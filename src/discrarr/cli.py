@@ -59,7 +59,12 @@ def _load_input(path, field):
         raise _CliError(f"parse error in {path} at byte offset {e.pos}: {e.msg}")
     except (KeyError, TypeError) as e:
         raise _CliError(f"malformed arrangement file {path}: missing {e}")
-    return _to_field(a, field)
+    except ZeroDivisionError as e:
+        raise _CliError(f"bad entry in {path}: {e}")
+    try:
+        return _to_field(a, field)
+    except ZeroDivisionError as e:
+        raise _CliError(f"bad entry in {path} for --field {field}: {e}")
 
 
 def cmd_circuits(args, out):

@@ -10,7 +10,6 @@ the codimension of the corresponding intersection in the space of
 translations.
 """
 
-import functools
 import itertools
 import json
 import random
@@ -79,8 +78,16 @@ class DependencySpace:
     basis: tuple  # covectors in K^n supported on subset
 
 
-@functools.lru_cache(maxsize=262144)
-def _dependency_basis(a: Arrangement, s: tuple) -> tuple:
+def dependency_space(a: Arrangement, s) -> DependencySpace:
+    """Basis of the linear dependencies among the normals indexed by s,
+    embedded into K^n.  Its dimension is |s| minus the rank of the span.
+
+    Nothing is cached: callers that ask for the same bases many times (the
+    audit's screen) keep them for as long as they need them.
+    """
+    s = tuple(sorted(set(s)))
+    if not s:
+        raise ValueError("need a nonempty index set")
     zero = Fraction(0)
     vecs = []
     for v in kernel_basis(a.column_stack(s)):
@@ -88,20 +95,7 @@ def _dependency_basis(a: Arrangement, s: tuple) -> tuple:
         for pos, i in enumerate(s):
             full[i - 1] = v[pos]
         vecs.append(tuple(full))
-    return tuple(vecs)
-
-
-def dependency_space(a: Arrangement, s) -> DependencySpace:
-    """Basis of the linear dependencies among the normals indexed by s,
-    embedded into K^n.  Its dimension is |s| minus the rank of the span.
-
-    Cached per (arrangement, index set): relabeling scans ask for the same
-    bases over and over.
-    """
-    s = tuple(sorted(set(s)))
-    if not s:
-        raise ValueError("need a nonempty index set")
-    return DependencySpace(frozenset(s), _dependency_basis(a, s))
+    return DependencySpace(frozenset(s), tuple(vecs))
 
 
 def _members_of(t) -> list:

@@ -12,9 +12,7 @@ on-variety witnesses.
 import functools
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,15 +32,6 @@ def field_name(a: Arrangement) -> str:
             if isinstance(x, FpElement):
                 return f"F{x.p}"
     return "Q"
-
-
-def _pmap(fn, items):
-    workers = int(os.environ.get("DISCRARR_THREADS", "1") or "1")
-    items = list(items)
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -423,17 +412,47 @@ class EightLineReport:
                 "hits": [h.to_json_dict() for h in self.hits]}
 
 
+@functools.lru_cache(maxsize=8)
+def _relabel_table(canonical: tuple, n: int) -> tuple:
+    """(labels, image) for every distinct image in [n] of the family with
+    the given canonical members, sorted by labels.
+
+    An image uses exactly as many indices as the family's support, m, so it
+    is an image on [m] carried into [n] by one of the C(n, m)
+    order-preserving embeddings.  Only the m! permutations of the support
+    are enumerated, and an embedding keeps the lexicographically first
+    labels of an image first.  Images are tuples of shared member sets, to
+    keep tables small; maxsize bounds how many tables a process keeps.
+    """
+    support = sorted({i for s in canonical for i in s})
+    pos = {i: j for j, i in enumerate(support)}
+    local = [[pos[i] for i in s] for s in canonical]
+    first = {}  # image on positions 0..m-1, as member bitmasks -> first permutation
+    for perm in itertools.permutations(range(len(support))):
+        key = tuple(sorted(sum(1 << perm[j] for j in s) for s in local))
+        first.setdefault(key, perm)
+    members = {}
+    table = []
+    for emb in itertools.combinations(range(1, n + 1), len(support)):
+        for perm in first.values():
+            labels = tuple(emb[j] for j in perm)
+            image = tuple(members.setdefault(m, m) for m in
+                          (frozenset(labels[j] for j in s) for s in local))
+            table.append((labels, image))
+    table.sort(key=lambda e: e[0])
+    return tuple(table)
+
+
 def _distinct_relabelings(p: Presentation, n: int):
-    """Yield (mapping, image family) once per distinct image of p in [n]."""
-    support = sorted(p.support)
-    seen = set()
-    for targets in itertools.permutations(range(1, n + 1), len(support)):
-        mapping = dict(zip(support, targets))
-        fam = frozenset(frozenset(mapping[i] for i in s) for s in p.members)
-        if fam in seen:
-            continue
-        seen.add(fam)
-        yield mapping, fam
+    """Yield (labels, image) once per distinct image of p in [n], in
+    increasing order of labels.
+
+    labels[j] is where the j-th smallest index of p's support goes, the
+    lexicographically first labelling giving the image; image[i] is the
+    image of the i-th of p's canonical members.  The table behind it is
+    built on first use for each (family, n) and kept for the process.
+    """
+    yield from _relabel_table(p.canonical(), n)
 
 
 def eight_line_report(a: Arrangement) -> EightLineReport:
@@ -448,15 +467,15 @@ def eight_line_report(a: Arrangement) -> EightLineReport:
         out = []
         count = 0
         r = default_r(fam.pres.with_ground(8))
-        for mapping, image in _distinct_relabelings(fam.pres, 8):
+        support = sorted(fam.pres.support)
+        for labels, image in _distinct_relabelings(fam.pres, 8):
             count += 1
-            if fam.poly(a, mapping) == 0:
+            if fam.poly(a, dict(zip(support, labels))) == 0:
                 cert = intersection_rank(a, image)
-                labels = tuple(mapping[i] for i in sorted(fam.pres.support))
                 out.append(ReportHit(fam.name, labels, r, cert))
         return out, count
 
-    results = _pmap(scan, eight_line_families())
+    results = [scan(fam) for fam in eight_line_families()]
     hits = sorted((h for out, _ in results for h in out),
                   key=lambda h: (h.family, h.labels))
     return EightLineReport(field_name(a), tuple(hits),
@@ -604,41 +623,49 @@ class AuditReport:
                 "note": self.note}
 
 
-@functools.lru_cache(maxsize=262144)
-def _screen_rows(a: Arrangement, s: tuple, p: int):
-    """Dependency basis of s with denominators cleared, reduced mod p."""
-    out = []
-    for v in dependency_space(a, s).basis:
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append(tuple(int(x * den) % p for x in v))
-    return tuple(out)
+def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
+    """Every index set of [n] with a size in sizes, mapped to its
+    dependency basis with denominators cleared, reduced mod p.
+
+    Built once per audit and dropped with it.
+    """
+    out = {}
+    for size in sizes:
+        for s in itertools.combinations(range(1, a.n + 1), size):
+            rows = []
+            for v in dependency_space(a, s).basis:
+                den = math.lcm(*(x.denominator for x in v))
+                rows.append(tuple(int(x * den) % p for x in v))
+            out[frozenset(s)] = rows
+    return out
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    rows = [list(r) for r in rows]
+def _rank_mod_p(rows, p: int, r: int | None = None) -> int:
+    """Rank modulo the prime p of integer rows already reduced mod p.
+
+    Fraction-free: a row scaled by a unit mod p spans the same line, so no
+    inverse is needed.  With r given, stops as soon as the rank exceeds r
+    and returns r + 1.
+    """
+    rows = list(rows)
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     rank = 0
     for c in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if rows[i][c]:
-                piv = i
+        for piv in range(rank, nr):
+            if rows[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        top = rows[rank]
+        top = rows[piv]
+        rows[piv] = rows[rank]
+        pv = top[c]
         for i in range(rank + 1, nr):
             f = rows[i][c]
             if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+                rows[i] = [(pv * x - f * y) % p for x, y in zip(rows[i], top)]
         rank += 1
-        if rank == nr:
+        if rank == nr or (r is not None and rank > r):
             break
     return rank
 
@@ -655,31 +682,29 @@ def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
     Rational instances are first screened by rank modulo a large prime
     (the mod-p rank never exceeds the rational one, so no hit can be
     lost); every surviving instance is confirmed in exact rationals.
-    The full bound on nine lines is an offline, minutes-scale scan.
+    The screen's rows are computed once per call, for every index set a
+    candidate member can map to.
     """
     if not is_generic(a):
         raise ValueError("the audit is defined for generic arrangements")
     candidates = candidate_presentations(a.n, a.k, min(nprime_max, a.n), False)
-    prime = DEFAULT_SCREEN_PRIME if field_name(a) == "Q" else None
+    screen = None
+    if field_name(a) == "Q":
+        sizes = sorted({len(s) for pres in candidates for s in pres.members})
+        screen = _screen_rows(a, sizes, DEFAULT_SCREEN_PRIME)
 
-    def scan(pres: Presentation):
-        out = []
+    hits = []
+    for pres in candidates:
         r = expected_rank(pres) - 1
         name = format_family(pres)
-        support = sorted(pres.support)
-        for mapping, image in _distinct_relabelings(pres, a.n):
-            if prime is not None:
-                rows = [row for s in image
-                        for row in _screen_rows(a, tuple(sorted(s)), prime)]
-                if _rank_mod_p(rows, prime) > r:
+        for labels, image in _distinct_relabelings(pres, a.n):
+            if screen is not None:
+                rows = [row for s in image for row in screen[s]]
+                if _rank_mod_p(rows, DEFAULT_SCREEN_PRIME, r) > r:
                     continue
             cert = intersection_rank(a, image)
             if cert <= r:
-                labels = tuple(mapping[i] for i in support)
-                out.append(ReportHit(name, labels, r, cert))
-        return out
-
-    hits = sorted((h for out in _pmap(scan, candidates) for h in out),
-                  key=lambda h: (h.family, h.labels))
+                hits.append(ReportHit(name, labels, r, cert))
+    hits.sort(key=lambda h: (h.family, h.labels))
     return AuditReport(field_name(a), nprime_max, tuple(hits),
                        "no hit rules out rank defects only within the searched bound")

@@ -93,6 +93,23 @@ def test_missing_input_exit_code(capsys):
     assert code == 2
 
 
+def test_zero_denominator_exit_code(capsys, tmp_path):
+    bad = tmp_path / "zero.json"
+    bad.write_text('{"k": 2, "normals": [["1", "0"], ["1/0", "1"], ["1", "1"]]}')
+    code, out, err = run(capsys, "circuits", "--input", str(bad))
+    assert code == 2
+    assert str(bad) in err and "JSON:" not in out
+
+
+def test_denominator_vanishing_in_field_exit_code(capsys, tmp_path):
+    bad = tmp_path / "seven.json"
+    bad.write_text('{"k": 2, "normals": [["1", "0"], ["1/7", "1"], ["1", "1"]]}')
+    code, out, err = run(capsys, "circuits", "--input", str(bad),
+                         "--field", "Fp:7")
+    assert code == 2
+    assert str(bad) in err and "Fp:7" in err and "JSON:" not in out
+
+
 def test_sample_roundtrip_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "s1.json"
     out2 = tmp_path / "s2.json"

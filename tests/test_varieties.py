@@ -1,20 +1,26 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrarr.arrangement import (Arrangement, delete, from_int_columns,
                                   is_generic, pair_det, random_generic)
 from discrarr.discriminantal import intersection_rank
-from discrarr.linalg import PrimeField
-from discrarr.presentations import (format_family, ladder, presentation,
-                                    twin_wheel, wheel)
-from discrarr.varieties import (WheelLabeling, audit_arrangement, crapo_poly,
+from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField
+from discrarr.presentations import (expected_rank, format_family, ladder,
+                                    parse_family, presentation, twin_wheel,
+                                    wheel)
+from discrarr.varieties import (WheelLabeling, _distinct_relabelings,
+                                _rank_mod_p, audit_arrangement,
+                                candidate_presentations, crapo_poly,
                                 default_r, eight_line_report,
                                 enumerate_candidates, family_by_name,
                                 ladder_poly, membership, orbit_canonical_cached,
                                 solve_on_variety, wheel_labeling_of, wheel_poly)
-from .conftest import crapo_arrangement
+from .conftest import crapo_arrangement, rank_oracle
 
 W6_LAB = WheelLabeling((1, 3, 5), (2, 4, 6))
 W6_FAMILY = [{1, 2, 3}, {1, 5, 6}, {2, 4, 6}, {3, 4, 5}]
@@ -352,9 +358,71 @@ def test_nine_line_wheel_equations(nine_line):
         assert wheel_poly(nine_line, lab, plain=False) == 0
 
 
-def test_threaded_scan_matches_sequential(monkeypatch):
-    a = solve_on_variety("W8", seed=1)
-    seq = eight_line_report(a)
-    monkeypatch.setenv("DISCRARR_THREADS", "4")
-    par = eight_line_report(a)
-    assert seq.hits == par.hits and seq.instances_scanned == par.instances_scanned
+def reference_relabelings(p, n):
+    """(labels, image) per distinct image of p in [n], lexicographically
+    first labels, by enumerating every injective map of the support."""
+    support = sorted(p.support)
+    seen = set()
+    for targets in itertools.permutations(range(1, n + 1), len(support)):
+        mapping = dict(zip(support, targets))
+        fam = frozenset(frozenset(mapping[i] for i in s) for s in p.members)
+        if fam in seen:
+            continue
+        seen.add(fam)
+        yield targets, fam
+
+
+@pytest.mark.parametrize("p, n", [
+    (family_by_name("W6").pres.with_ground(8), 8),
+    (family_by_name("Wd8_4").pres.with_ground(8), 8),
+    (parse_family("123,145,246,356", 9, 2), 9),
+])
+def test_relabel_table_matches_full_enumeration(p, n):
+    got = list(_distinct_relabelings(p, n))
+    assert [(labels, frozenset(image)) for labels, image in got] == \
+        list(reference_relabelings(p, n))
+    for labels, image in got:
+        mapping = dict(zip(sorted(p.support), labels))
+        assert image == tuple(frozenset(mapping[i] for i in s)
+                              for s in p.canonical())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda nc: st.lists(st.lists(st.integers(-6, 6), min_size=nc, max_size=nc),
+                        min_size=1, max_size=5)),
+    st.sampled_from([2, 3, 5, 7, DEFAULT_SCREEN_PRIME]))
+def test_rank_mod_p_is_a_sound_screen(rows, p):
+    reduced = [[x % p for x in row] for row in rows]
+    full = _rank_mod_p(reduced, p)
+    assert full <= rank_oracle(rows)
+    for r in range(len(rows) + 1):
+        early = _rank_mod_p(reduced, p, r)
+        assert early == min(full, r + 1)
+        assert (early > r) == (full > r)
+
+
+def nine_line_grid_relabelled(seed):
+    order = list(range(1, 10))
+    random.Random(seed).shuffle(order)
+    return Arrangement(2, tuple((F(i - 5), F(1)) for i in order))
+
+
+@pytest.mark.parametrize("a", [nine_line_grid_relabelled(3),
+                               random_generic(9, 2, seed=8)])
+def test_screened_audit_equals_exact_scan(a):
+    expected = []
+    for c in candidate_presentations(9, 2, 6, False):
+        r = expected_rank(c) - 1
+        for labels, image in reference_relabelings(c, 9):
+            rank = intersection_rank(a, image)
+            if rank <= r:
+                expected.append((format_family(c), labels, r, rank))
+    got = [(h.family, h.labels, h.r, h.rank) for h in audit_arrangement(a, 6).hits]
+    assert got == sorted(expected)
+
+
+def test_grid_audit_work_counts(nine_line):
+    classes = candidate_presentations(9, 2, 7, False)
+    assert sum(1 for c in classes for _ in _distinct_relabelings(c, 9)) == 17640
+    assert len(audit_arrangement(nine_line, 7).hits) == 139
