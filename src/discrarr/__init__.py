@@ -25,8 +25,8 @@ from .presentations import (BbaVerdict, Presentation, SearchBudgetExceeded,
 from .svg import render_svg
 from .varieties import (AuditReport, EightLineReport, MembershipVerdict,
                         VarietyFamily, WheelLabeling, audit_arrangement,
-                        crapo_poly, default_r, eight_line_families,
-                        eight_line_report, enumerate_candidates,
+                        candidate_presentations, crapo_poly, default_r,
+                        eight_line_families, eight_line_report,
                         family_by_name, ladder_poly, membership,
                         solve_on_variety, wheel_labeling_of, wheel_poly)
 

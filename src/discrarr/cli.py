@@ -19,7 +19,7 @@ from .presentations import (Presentation, SearchBudgetExceeded, check_bba,
                             degenerate, expected_rank, format_family,
                             parse_family)
 from .svg import render_svg
-from .varieties import (enumerate_candidates, family_by_name, field_name,
+from .varieties import (candidate_presentations, family_by_name, field_name,
                         membership, solve_on_variety)
 
 FAMILY_SHORTCUTS = ("W6", "W8", "W10", "Wd8_4", "L8", "DW10")
@@ -126,7 +126,7 @@ def cmd_membership(args, out):
 def cmd_classify(args, out):
     n = args.n if args.n is not None else 8
     nprime = args.nprime_max if args.nprime_max is not None else n
-    cands = enumerate_candidates(n, args.k, nprime)
+    cands = candidate_presentations(n, args.k, nprime)
     out.human(f"{len(cands)} orbit class(es) on up to {nprime} of {n} indices:")
     for c in cands:
         out.human(f"  {format_family(c)}   nu={expected_rank(c)}")
@@ -172,6 +172,9 @@ def cmd_sample(args, out):
 
 def cmd_render(args, out):
     a = _load_input(args.input, args.field)
+    if field_name(a) != "Q":
+        raise _CliError(f"render draws real coordinates and needs --field Q, "
+                        f"not {args.field}")
     if a.k != 2:
         raise _CliError("render needs a plane arrangement (k = 2)")
     t = None
@@ -181,6 +184,8 @@ def cmd_render(args, out):
         except json.JSONDecodeError as e:
             raise _CliError(
                 f"parse error in {args.translation} at byte offset {e.pos}: {e.msg}")
+        except (KeyError, TypeError, ZeroDivisionError) as e:
+            raise _CliError(f"malformed translation file {args.translation}: {e!r}")
     doc = render_svg(a, t)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

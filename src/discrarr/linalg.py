@@ -2,15 +2,19 @@
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator,
 arbitrary-precision integers) or :class:`FpElement` for a prime field used
-as a fast randomized screen.  Both support field arithmetic through the
-usual operators, so every routine below is field agnostic.  There is no
-tolerance anywhere: a pivot is zero exactly when it equals the field zero.
+as a fast randomized screen; plain ints are read as rationals.  There is
+no tolerance anywhere.
 
-Matrices are dense and tiny (desk scale, at most a few hundred entries),
-so plain Gaussian elimination over the field is the whole story.
+Every rank, kernel, determinant and solution comes from one elimination
+kernel, :func:`eliminate`, which works on rows of Python ints: fraction-
+free Bareiss elimination over Z, or reduction modulo a prime.
+:func:`integer_form` is the one place where a :class:`Matrix` becomes
+such rows (denominators cleared per row over Q, residues over F_p), and
+the results are turned back into field elements at the end, so no
+elimination step does Fraction or FpElement arithmetic.
 """
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +64,7 @@ class FpElement:
         if isinstance(other, int):
             return FpElement(other, self.p)
         if isinstance(other, Fraction):
-            return FpElement(other.numerator, self.p) / FpElement(other.denominator, self.p)
+            return FpElement(_residue(other, self.p), self.p)
         return NotImplemented
 
     def __add__(self, other):
@@ -115,6 +119,17 @@ class FpElement:
         return f"{self.v} (mod {self.p})"
 
 
+def _residue(x, p: int) -> int:
+    """x, an int, Fraction or FpElement of modulus p, as a residue mod p."""
+    if isinstance(x, FpElement):
+        if x.p != p:
+            raise ValueError("mixed prime fields")
+        return x.v
+    if x.denominator % p == 0:
+        raise ZeroDivisionError("denominator vanishes in this field")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 class PrimeField:
     """Factory for FpElement values; p must be an odd prime."""
 
@@ -124,23 +139,9 @@ class PrimeField:
         self.p = p
 
     def __call__(self, x) -> FpElement:
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValueError("mixed prime fields")
+        if isinstance(x, FpElement) and x.p == self.p:
             return x
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator vanishes in this field")
-            return FpElement(x.numerator, self.p) / FpElement(x.denominator, self.p)
-        return FpElement(int(x), self.p)
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
+        return FpElement(_residue(x, self.p), self.p)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -205,41 +206,102 @@ class Matrix:
         return Matrix(self.ncols, self.nrows,
                       tuple(self.at(i, j) for j in range(self.ncols) for i in range(self.nrows)))
 
-    def _one(self):
-        for x in self.entries:
-            if isinstance(x, FpElement):
-                return FpElement(1, x.p)
+
+def integer_form(m: Matrix):
+    """The form the elimination kernel works on: (rows, p, scales).
+
+    Over F_p (some entry is an FpElement of modulus p) every entry becomes
+    its residue in [0, p) and every scale is 1.  Over Q (p is None) each
+    row is multiplied by the lcm of its denominators, its scale.  Scaling a
+    row changes no rank, kernel or solution, and divides det by the scale.
+    """
+    rows = m.rows()
+    p = next((x.p for x in m.entries if isinstance(x, FpElement)), None)
+    if p is not None:
+        return [[_residue(x, p) for x in r] for r in rows], p, [1] * len(rows)
+    scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    return ([[x.numerator * (s // x.denominator) for x in r] for r, s in zip(rows, scales)],
+            None, scales)
+
+
+def eliminate(rows, p=None, full=False, limit=None):
+    """Fraction-free row echelon form of integer rows: (rows, pivots, sign).
+
+    Over Z (p None) this is Bareiss elimination: a step with pivot pv
+    replaces every other row by (pv * row - f * top) // prev, where f is
+    the row's entry in the pivot column and prev the previous pivot.  The
+    division is exact (Sylvester's identity), so every pivot is a minor of
+    the input and, for a square input of full rank, sign times the last
+    pivot is its determinant.  Rows with f = 0 must be updated too, or
+    later divisions stop being exact.  Modulo the prime p a step replaces
+    a row by (pv * row - f * top) % p, a unit multiple of the row minus a
+    multiple of top, and leaves rows with f = 0 alone.  sign is -1 to the
+    number of row swaps.
+
+    full also clears the entries above each pivot.  With limit given, the
+    elimination stops as soon as the rank exceeds it.  The input rows are
+    replaced, never mutated.
+    """
+    rows = list(rows)
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    k = 0  # the rank so far
+    prev = sign = 1
+    for c in range(nc):
+        for piv in range(k, nr):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        top = rows[piv]
+        if piv != k:
+            rows[piv] = rows[k]
+            rows[k] = top
+            sign = -sign
+        pv = top[c]
+        others = [*range(k), *range(k + 1, nr)] if full else range(k + 1, nr)
+        if p is None:
+            for i in others:
+                f = rows[i][c]
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(rows[i], top)]
+            prev = pv
+        else:
+            for i in others:
+                f = rows[i][c]
+                if f:
+                    rows[i] = [(pv * x - f * y) % p for x, y in zip(rows[i], top)]
+        pivots.append(c)
+        k += 1
+        if k == nr or (limit is not None and k > limit):
             break
-        return Fraction(1)
+    return rows, pivots, sign
+
+
+def _scalar(num: int, den: int, p):
+    """num / den as a Fraction, or as an FpElement modulo p."""
+    if p is None:
+        return Fraction(num, den)
+    return FpElement(num * pow(den, -1, p), p)
+
+
+def _reduced(m: Matrix):
+    """(integer rows of the reduced echelon form of m, pivots, p)."""
+    rows, p, _ = integer_form(m)
+    rows, pivots, _ = eliminate(rows, p, full=True)
+    return rows, pivots, p
 
 
 def rref(m: Matrix):
     """Reduced row echelon form.  Returns (rows as lists, pivot columns)."""
-    rows = m.rows()
-    nr, nc = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+    rows, pivots, p = _reduced(m)
+    dens = [rows[i][c] for i, c in enumerate(pivots)] + [1] * (m.nrows - len(pivots))
+    return [[_scalar(x, den, p) for x in r] for r, den in zip(rows, dens)], pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    rows, p, _ = integer_form(m)
+    return len(eliminate(rows, p)[1])
 
 
 def kernel_basis(m: Matrix):
@@ -248,16 +310,16 @@ def kernel_basis(m: Matrix):
     One vector per free column, with entry 1 in the free position.  The
     basis has exactly ncols - rank(m) vectors.
     """
-    red, pivots = rref(m)
-    one = m._one()
-    zero = one - one
-    free = [c for c in range(m.ncols) if c not in pivots]
+    rows, pivots, p = _reduced(m)
+    zero, one = _scalar(0, 1, p), _scalar(1, 1, p)
     basis = []
-    for f in free:
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
         v = [zero] * m.ncols
         v[f] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f]
+        for r, pc in zip(rows, pivots):
+            v[pc] = _scalar(-r[f], r[pc], p)
         basis.append(tuple(v))
     return basis
 
@@ -266,28 +328,13 @@ def det(m: Matrix):
     """Exact determinant; the input must be square."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return Fraction(1)
-    rows = m.rows()
-    one = m._one()
-    sign = one
-    acc = one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return one - one
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        acc = acc * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                ri, rc = rows[i], rows[c]
-                rows[i] = [a - f * b for a, b in zip(ri, rc)]
-    return sign * acc
+    rows, p, scales = integer_form(m)
+    # Over F_p the rows are residues, and the integer determinant of the
+    # residues reduces to the determinant mod p.
+    rows, pivots, sign = eliminate(rows)
+    if len(pivots) < m.nrows:
+        return _scalar(0, 1, p)
+    return _scalar(sign * rows[-1][-1] if rows else 1, math.prod(scales), p)
 
 
 def solve(m: Matrix, b):
@@ -298,14 +345,12 @@ def solve(m: Matrix, b):
     if m.nrows == 0:
         return tuple(Fraction(0) for _ in range(m.ncols))
     aug = Matrix.from_rows([list(m.row(i)) + [b[i]] for i in range(m.nrows)])
-    red, pivots = rref(aug)
+    rows, pivots, p = _reduced(aug)
     if m.ncols in pivots:
         return None
-    one = aug._one()
-    zero = one - one
-    x = [zero] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][m.ncols]
+    x = [_scalar(0, 1, p)] * m.ncols
+    for r, pc in zip(rows, pivots):
+        x[pc] = _scalar(r[m.ncols], r[pc], p)
     return tuple(x)
 
 
@@ -314,11 +359,6 @@ def dot(u, v):
     for a, b in zip(u, v):
         acc = a * b if acc is None else acc + a * b
     return Fraction(0) if acc is None else acc
-
-
-def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return Matrix(n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
 
 
 def matrix_to_field(m: Matrix, field: PrimeField) -> Matrix:
@@ -333,22 +373,3 @@ def random_invertible(k: int, rng, height: int = 5) -> Matrix:
         if det(m):
             return m
 
-
-def all_minors_rank(m: Matrix) -> int:
-    """Rank via brute-force minor expansion.  Exponential; oracle use only."""
-    r = 0
-    for size in range(1, min(m.nrows, m.ncols) + 1):
-        found = False
-        for ri in itertools.combinations(range(m.nrows), size):
-            for ci in itertools.combinations(range(m.ncols), size):
-                sub = Matrix.from_rows([[m.at(i, j) for j in ci] for i in ri])
-                if det(sub):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            r = size
-        else:
-            break
-    return r

@@ -11,7 +11,6 @@ on-variety witnesses.
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from fractions import Fraction
 from .arrangement import (Arrangement, RetryBudgetExceeded, is_generic,
                           pair_det, parallel)
 from .discriminantal import dependency_space, intersection_rank
-from .linalg import DEFAULT_SCREEN_PRIME, FpElement
+from .linalg import DEFAULT_SCREEN_PRIME, FpElement, Matrix, eliminate, integer_form
 from .presentations import (Presentation, check_bba, degenerate,
                             expected_rank, format_family, is_admissible,
                             ladder, min_expected_rank_above, orbit_canonical,
@@ -594,11 +593,6 @@ def candidate_presentations(n: int, k: int, nprime_max: int,
     return sorted(reps.values(), key=lambda p: (len(p.members), p.canonical()))
 
 
-def enumerate_candidates(n: int, k: int, nprime_max: int):
-    """Classification candidates: see candidate_presentations."""
-    return candidate_presentations(n, k, nprime_max, True)
-
-
 @functools.lru_cache(maxsize=65536)
 def _orbit_canonical_from(canonical: tuple, k: int):
     members = [frozenset(s) for s in canonical]
@@ -632,42 +626,17 @@ def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
     out = {}
     for size in sizes:
         for s in itertools.combinations(range(1, a.n + 1), size):
-            rows = []
-            for v in dependency_space(a, s).basis:
-                den = math.lcm(*(x.denominator for x in v))
-                rows.append(tuple(int(x * den) % p for x in v))
-            out[frozenset(s)] = rows
+            rows, _, _ = integer_form(Matrix.from_rows(dependency_space(a, s).basis))
+            out[frozenset(s)] = [tuple(x % p for x in row) for row in rows]
     return out
 
 
 def _rank_mod_p(rows, p: int, r: int | None = None) -> int:
     """Rank modulo the prime p of integer rows already reduced mod p.
 
-    Fraction-free: a row scaled by a unit mod p spans the same line, so no
-    inverse is needed.  With r given, stops as soon as the rank exceeds r
-    and returns r + 1.
+    With r given, stops as soon as the rank exceeds r and returns r + 1.
     """
-    rows = list(rows)
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(nc):
-        for piv in range(rank, nr):
-            if rows[piv][c]:
-                break
-        else:
-            continue
-        top = rows[piv]
-        rows[piv] = rows[rank]
-        pv = top[c]
-        for i in range(rank + 1, nr):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(pv * x - f * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-        if rank == nr or (r is not None and rank > r):
-            break
-    return rank
+    return len(eliminate(rows, p, limit=r)[1])
 
 
 def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:

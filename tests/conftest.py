@@ -82,6 +82,53 @@ def rank_oracle(rows):
     return best
 
 
+# the field-generic Gauss-Jordan elimination linalg used before it moved to
+# an integer kernel; `one` is the field's unit, rows hold field elements
+
+def rref_oracle(rows, one):
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [[x * one for x in row] for row in rows], pivots
+
+
+def det_elim_oracle(rows, one):
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign = acc = one
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return one - one
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        acc = acc * pv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return sign * acc
+
+
 def circuits_oracle(a: Arrangement):
     cols = {i: a.normal(i) for i in range(1, a.n + 1)}
 

@@ -21,7 +21,7 @@ from discrarr.presentations import (expected_rank, format_family,
                                     is_admissible, leq, presentation,
                                     twin_wheel, wheel)
 from discrarr.varieties import (WheelLabeling, _eval_with, audit_arrangement,
-                                crapo_poly, default_r, enumerate_candidates,
+                                candidate_presentations, crapo_poly, default_r,
                                 family_by_name, membership,
                                 orbit_canonical_cached, solve_on_variety,
                                 wheel_poly)
@@ -180,7 +180,7 @@ def test_criterion_6_degeneration():
 
 def test_criterion_7_eight_line_classification():
     t0 = time.time()
-    cands = enumerate_candidates(8, 2, 8)
+    cands = candidate_presentations(8, 2, 8)
     fams = [family_by_name(n) for n in ("W6", "Wd8_4", "W8", "L8", "DW10")]
     want = sorted(format_family(orbit_canonical_cached(f.pres)) for f in fams)
     got = sorted(format_family(c) for c in cands)

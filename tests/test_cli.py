@@ -182,6 +182,24 @@ def test_render_rejects_higher_rank(capsys, tmp_path):
     assert code == 2
 
 
+def test_render_rejects_prime_field(capsys, crapo_files):
+    p1, _ = crapo_files
+    code, out, err = run(capsys, "render", "--input", p1, "--field", "Fp:7")
+    assert code == 2
+    assert "--field Q" in err and "Fp:7" in err
+    assert "Traceback" not in err and "JSON:" not in out
+
+
+@pytest.mark.parametrize("body", ['[1, 2]', '{"s": []}', '{"t": ["1/0", "0", "0", "0", "0", "0"]}'])
+def test_render_rejects_malformed_translation(capsys, crapo_files, tmp_path, body):
+    p1, _ = crapo_files
+    tfile = tmp_path / "t.json"
+    tfile.write_text(body)
+    code, out, err = run(capsys, "render", "--input", p1, "--translation", str(tfile))
+    assert code == 2
+    assert str(tfile) in err and "JSON:" not in out
+
+
 def test_svg_deterministic_and_marks():
     a = crapo_arrangement(-1)
     t = (F(0), F(1), F(1), F(1), F(0), F(0))

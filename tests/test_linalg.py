@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrarr.linalg import (DEFAULT_SCREEN_PRIME, Matrix, PrimeField, det,
-                             is_prime, kernel_basis, matrix_to_field,
-                             parse_scalar, rank, scalar_str, solve)
-from .conftest import crapo_arrangement, det_oracle, rank_oracle
+from discrarr.linalg import (DEFAULT_SCREEN_PRIME, FpElement, Matrix,
+                             PrimeField, det, is_prime, kernel_basis,
+                             matrix_to_field, parse_scalar, rank, rref,
+                             scalar_str, solve)
+from .conftest import (crapo_arrangement, det_elim_oracle, det_oracle,
+                       rank_oracle, rref_oracle)
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -167,3 +169,106 @@ def test_fp_kernel_and_solve():
     assert v[0] + fp(2) * v[1] == fp(0)
     assert solve(m, [fp(1), fp(2)]) is not None
     assert solve(m, [fp(1), fp(3)]) is None
+
+
+def test_large_int_entries_stay_exact():
+    # plain int entries near 2**56: any float division loses the rank
+    m = Matrix.from_rows([[10**17 + 1, 10**17], [10**17, 10**17 - 1]])
+    assert rank(m) == 2
+    assert det(m) == -1
+    assert kernel_basis(m) == []
+    red, pivots = rref(m)
+    assert pivots == [0, 1]
+    assert all(type(x) is F for row in red for x in row)
+
+
+# Differential properties: the integer kernel against the Fraction
+# elimination it replaced, over Q and two prime fields.
+
+FIELDS = (None, 7, DEFAULT_SCREEN_PRIME)
+entries = st.one_of(ints, st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def exact_rows(draw, square=False):
+    """Up to 6 x 8, with plain ints or non-unit denominators, zero rows and
+    columns, and a scaled copy of the first row."""
+    nr = draw(st.integers(1, 6))
+    nc = nr if square else draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if draw(st.booleans()):
+        rows = [[int(x) for x in r] for r in rows]
+    for i in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
+        rows[i] = [0] * nc
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+        for r in rows:
+            r[j] = 0
+    if nr > 1 and draw(st.booleans()):
+        rows[-1] = [-3 * x for x in rows[0]]
+    return rows
+
+
+def field_case(rows, prime):
+    """(matrix for the package, rows for the oracle, the field's unit, a
+    map to compare scalars).  Over F_p the package's matrix keeps zeros as
+    Fraction(0), as dependency vectors over F_p do."""
+    if prime is None:
+        return (Matrix.from_rows(rows), [[F(x) for x in r] for r in rows],
+                F(1), lambda x: x)
+    fp = PrimeField(prime)
+    mixed = [[fp(x) if x or (i, j) == (0, 0) else F(0) for j, x in enumerate(r)]
+             for i, r in enumerate(rows)]
+    return (Matrix.from_rows(mixed), [[fp(x) for x in r] for r in rows],
+            fp(1), fp)
+
+
+def assert_field_elements(values, prime):
+    assert all(type(x) is (F if prime is None else FpElement) for x in values)
+
+
+@pytest.mark.parametrize("prime", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(rows=exact_rows(), rhs=st.lists(entries, min_size=6, max_size=6))
+def test_kernel_matches_fraction_elimination(prime, rows, rhs):
+    m, orows, one, norm = field_case(rows, prime)
+    want, wpiv = rref_oracle(orows, one)
+    red, pivots = rref(m)
+    assert pivots == wpiv
+    assert [[norm(x) for x in r] for r in red] == want
+    assert_field_elements([x for r in red for x in r], prime)
+    assert rank(m) == len(wpiv)
+
+    zero = one - one
+    wbasis = []
+    for f in (c for c in range(m.ncols) if c not in wpiv):
+        v = [zero] * m.ncols
+        v[f] = one
+        for r, pc in enumerate(wpiv):
+            v[pc] = -want[r][f]
+        wbasis.append(tuple(v))
+    basis = kernel_basis(m)
+    assert [tuple(norm(x) for x in v) for v in basis] == wbasis
+    assert_field_elements([x for v in basis for x in v], prime)
+
+    b = [norm(x) for x in rhs[:m.nrows]]
+    aug, apiv = rref_oracle([r + [x] for r, x in zip(orows, b)], one)
+    x = solve(m, b)
+    if m.ncols in apiv:
+        assert x is None
+    else:
+        wx = [zero] * m.ncols
+        for r, pc in enumerate(apiv):
+            wx[pc] = aug[r][m.ncols]
+        assert [norm(v) for v in x] == wx
+        assert_field_elements(x, prime)
+
+
+@pytest.mark.parametrize("prime", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(rows=exact_rows(square=True))
+def test_det_matches_fraction_elimination(prime, rows):
+    m, orows, one, norm = field_case(rows, prime)
+    d = det(m)
+    assert norm(d) == det_elim_oracle(orows, one)
+    assert_field_elements([d], prime)

@@ -16,8 +16,7 @@ from discrarr.presentations import (expected_rank, format_family, ladder,
 from discrarr.varieties import (WheelLabeling, _distinct_relabelings,
                                 _rank_mod_p, audit_arrangement,
                                 candidate_presentations, crapo_poly,
-                                default_r, eight_line_report,
-                                enumerate_candidates, family_by_name,
+                                default_r, eight_line_report, family_by_name,
                                 ladder_poly, membership, orbit_canonical_cached,
                                 solve_on_variety, wheel_labeling_of, wheel_poly)
 from .conftest import crapo_arrangement, rank_oracle
@@ -213,9 +212,9 @@ def test_eight_line_report_generic_empty():
 
 
 def test_enumerate_candidates_small_unions():
-    assert [format_family(c) for c in enumerate_candidates(6, 2, 6)] == \
+    assert [format_family(c) for c in candidate_presentations(6, 2, 6)] == \
         [format_family(orbit_canonical_cached(wheel(6)))]
-    cands7 = enumerate_candidates(7, 2, 7)
+    cands7 = candidate_presentations(7, 2, 7)
     assert len(cands7) == 2
     assert format_family(orbit_canonical_cached(family_by_name("Wd8_4").pres)) \
         in [format_family(c) for c in cands7]
