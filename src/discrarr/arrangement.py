@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, det, dot, kernel_basis, parse_scalar, rank,
-                     rref, scalar_str)
+from .linalg import (Matrix, det, dot, eliminate, integer_form, kernel_basis,
+                     parse_scalar, rref, scalar_str)
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +56,10 @@ class Arrangement:
 
     @property
     def essential(self) -> bool:
-        return self.n > 0 and rank(self.column_stack()) == self.k
+        if self.n == 0:
+            return False
+        rows, p, _ = integer_form(self.normals)
+        return len(eliminate(rows, p)[1]) == self.k
 
     def to_json_dict(self) -> dict:
         return {"k": self.k,
@@ -64,6 +67,8 @@ class Arrangement:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Arrangement":
+        if isinstance(d["k"], (bool, float)):
+            raise ValueError(f"k must be an integer, got {d['k']!r}")
         return cls(int(d["k"]),
                    tuple(tuple(parse_scalar(x) for x in v) for v in d["normals"]))
 
@@ -90,14 +95,14 @@ def circuits(a: Arrangement) -> frozenset:
     Sizes run from 2 (parallel pairs) to k+1; anything larger contains a
     dependent (k+1)-subset and is therefore never minimal.
     """
+    rows, p, _ = integer_form(a.normals)
     found: list = []
-    ground = range(1, a.n + 1)
     for size in range(2, min(a.k + 1, a.n) + 1):
-        for comb in itertools.combinations(ground, size):
-            s = frozenset(comb)
+        for comb in itertools.combinations(range(a.n), size):
+            s = frozenset(i + 1 for i in comb)
             if any(c <= s for c in found):
                 continue
-            if rank(a.column_stack(comb)) < size:
+            if len(eliminate([rows[i] for i in comb], p)[1]) < size:
                 found.append(s)
     return frozenset(found)
 
@@ -105,13 +110,14 @@ def circuits(a: Arrangement) -> frozenset:
 def is_generic(a: Arrangement) -> bool:
     """True iff every circuit has size exactly k+1.
 
-    Equivalently, every subset of min(n, k) normals is independent.
+    Equivalently, every subset of min(n, k) normals is independent.  The
+    normals become integer rows once; scaling a normal changes no
+    independence.
     """
+    rows, p, _ = integer_form(a.normals)
     size = min(a.k, a.n)
-    for comb in itertools.combinations(range(1, a.n + 1), size):
-        if rank(a.column_stack(comb)) < size:
-            return False
-    return True
+    return all(len(eliminate([rows[i] for i in comb], p)[1]) == size
+               for comb in itertools.combinations(range(a.n), size))
 
 
 def pair_det(a: Arrangement, i: int, j: int):
@@ -131,7 +137,8 @@ def maximal_minor(a: Arrangement, s):
 
 
 def parallel(a: Arrangement, i: int, j: int) -> bool:
-    return rank(a.column_stack([i, j])) <= 1
+    rows, p, _ = integer_form([a.normal(i), a.normal(j)])
+    return len(eliminate(rows, p)[1]) <= 1
 
 
 def delete(a: Arrangement, i: int) -> Arrangement:

@@ -53,13 +53,13 @@ def _load_input(path, field):
         raise _CliError("--input is required for this subcommand")
     try:
         a = load_arrangement(path)
-    except FileNotFoundError as e:
+    except OSError as e:
         raise _CliError(str(e))
     except json.JSONDecodeError as e:
         raise _CliError(f"parse error in {path} at byte offset {e.pos}: {e.msg}")
     except (KeyError, TypeError) as e:
         raise _CliError(f"malformed arrangement file {path}: missing {e}")
-    except ZeroDivisionError as e:
+    except (ZeroDivisionError, ValueError) as e:
         raise _CliError(f"bad entry in {path}: {e}")
     try:
         return _to_field(a, field)
@@ -181,12 +181,17 @@ def cmd_render(args, out):
     if args.translation:
         try:
             t = load_translation(args.translation)
+        except OSError as e:
+            raise _CliError(str(e))
         except json.JSONDecodeError as e:
             raise _CliError(
                 f"parse error in {args.translation} at byte offset {e.pos}: {e.msg}")
-        except (KeyError, TypeError, ZeroDivisionError) as e:
+        except (KeyError, TypeError, ZeroDivisionError, ValueError) as e:
             raise _CliError(f"malformed translation file {args.translation}: {e!r}")
-    doc = render_svg(a, t)
+    try:
+        doc = render_svg(a, t)
+    except OverflowError as e:
+        raise _CliError(f"render: coordinates too large to draw ({e})")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(doc)

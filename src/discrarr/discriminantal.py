@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .linalg import (Matrix, det, dot, kernel_basis, parse_scalar, rank,
-                     scalar_str, solve)
+from .linalg import (Matrix, det, dot, eliminate, integer_form,
+                     integer_kernel, kernel_basis, parse_scalar, scalar_str,
+                     solve)
 from .presentations import Presentation, presentation
 
 
@@ -37,9 +38,12 @@ def load_translation(path: str) -> tuple:
 
 def is_circuit(a: Arrangement, c) -> bool:
     c = sorted(set(c))
-    if len(c) < 2 or rank(a.column_stack(c)) != len(c) - 1:
+    if len(c) < 2:
         return False
-    return all(rank(a.column_stack(c[:i] + c[i + 1:])) == len(c) - 1
+    rows, p, _ = integer_form([a.normal(i) for i in c])
+    if len(eliminate(rows, p)[1]) != len(c) - 1:
+        return False
+    return all(len(eliminate(rows[:i] + rows[i + 1:], p)[1]) == len(c) - 1
                for i in range(len(c)))
 
 
@@ -88,10 +92,9 @@ def dependency_space(a: Arrangement, s) -> DependencySpace:
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("need a nonempty index set")
-    zero = Fraction(0)
     vecs = []
     for v in kernel_basis(a.column_stack(s)):
-        full = [zero] * a.n
+        full = [0 * v[0]] * a.n  # the field's zero, Fraction or FpElement
         for pos, i in enumerate(s):
             full[i - 1] = v[pos]
         vecs.append(tuple(full))
@@ -104,22 +107,46 @@ def _members_of(t) -> list:
     return sorted((frozenset(s) for s in t), key=lambda s: (len(s), sorted(s)))
 
 
+def dependency_rows(normals, p, s) -> list:
+    """Integer rows spanning the dependencies among the integer normals
+    indexed by s (1-based), embedded into Z^n for n normals, or into F_p^n
+    as residues.
+
+    normals are an arrangement's normals after integer_form, which scales
+    each normal.  Scaling normal i by c divides coordinate i of every
+    dependency by c, the same for every index set, so a stack of these
+    rows has the rank of the stacked dependency spaces of the normals.
+    """
+    s = sorted(s)
+    n = len(normals)
+    if s[0] < 1 or s[-1] > n:
+        raise IndexError(f"index set {s} out of range 1..{n}")
+    cols = [normals[i - 1] for i in s]
+    vectors, _ = integer_kernel(list(zip(*cols)), len(s), p)
+    out = []
+    for v in vectors:
+        full = [0] * n
+        for x, i in zip(v, s):
+            full[i - 1] = x
+        out.append(full)
+    return out
+
+
 def intersection_rank(a: Arrangement, t) -> int:
     """Rank of the joint dependency span of all members of the family t.
 
     This is the codimension, inside the space of translations, of the set
     of translations keeping every member concurrent.  The empty family has
-    rank 0.
+    rank 0.  The normals become integer rows once per call.
     """
     members = _members_of(t)
+    normals, p, _ = integer_form(a.normals)
     rows = []
     for s in members:
         if len(s) < 2:
             raise ValueError("family members need at least 2 indices")
-        rows.extend(dependency_space(a, s).basis)
-    if not rows:
-        return 0
-    return rank(Matrix.from_rows(rows))
+        rows.extend(dependency_rows(normals, p, s))
+    return len(eliminate(rows, p)[1])
 
 
 def has_common_point(a: Arrangement, t, s) -> bool:
@@ -132,8 +159,8 @@ def has_common_point(a: Arrangement, t, s) -> bool:
 
 
 def _dependent(a: Arrangement, s) -> bool:
-    s = sorted(s)
-    return rank(a.column_stack(s)) < len(s)
+    rows, p, _ = integer_form([a.normal(i) for i in s])
+    return len(eliminate(rows, p)[1]) < len(s)
 
 
 def canonical_presentation(a: Arrangement, t) -> Presentation:

@@ -8,9 +8,12 @@ no tolerance anywhere.
 Every rank, kernel, determinant and solution comes from one elimination
 kernel, :func:`eliminate`, which works on rows of Python ints: fraction-
 free Bareiss elimination over Z, or reduction modulo a prime.
-:func:`integer_form` is the one place where a :class:`Matrix` becomes
-such rows (denominators cleared per row over Q, residues over F_p), and
-the results are turned back into field elements at the end, so no
+:func:`integer_form` is the one place where rows of scalars become such
+rows (denominators cleared per row over Q, residues over F_p): a
+:class:`Matrix` passes ``m.rows()``, and an arrangement passes its normals
+once and runs every rank test on the result.  :func:`integer_kernel` is
+the one kernel routine; :func:`kernel_basis` is its Fraction/FpElement
+view.  Results are turned back into field elements only at the end, so no
 elimination step does Fraction or FpElement arithmetic.
 """
 
@@ -151,9 +154,14 @@ class PrimeField:
 DEFAULT_SCREEN_PRIME = 1299709
 
 
-def parse_scalar(s: str) -> Fraction:
-    """Parse 'p/q' or 'p' (base 10, sign on the numerator)."""
-    return Fraction(s.strip())
+def parse_scalar(s) -> Fraction:
+    """Parse 'p/q' or 'p' (base 10, sign on the numerator), or a JSON
+    integer.  Floats and booleans are rejected: a float is not exact."""
+    if isinstance(s, str):
+        return Fraction(s.strip())
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise ValueError(f"scalar {s!r} is not an integer or a 'p/q' string")
 
 
 def scalar_str(x) -> str:
@@ -207,16 +215,16 @@ class Matrix:
                       tuple(self.at(i, j) for j in range(self.ncols) for i in range(self.nrows)))
 
 
-def integer_form(m: Matrix):
+def integer_form(rows):
     """The form the elimination kernel works on: (rows, p, scales).
 
+    rows is any sequence of rows of scalars; a Matrix passes m.rows().
     Over F_p (some entry is an FpElement of modulus p) every entry becomes
     its residue in [0, p) and every scale is 1.  Over Q (p is None) each
     row is multiplied by the lcm of its denominators, its scale.  Scaling a
     row changes no rank, kernel or solution, and divides det by the scale.
     """
-    rows = m.rows()
-    p = next((x.p for x in m.entries if isinstance(x, FpElement)), None)
+    p = next((x.p for r in rows for x in r if isinstance(x, FpElement)), None)
     if p is not None:
         return [[_residue(x, p) for x in r] for r in rows], p, [1] * len(rows)
     scales = [math.lcm(*(x.denominator for x in r)) for r in rows]
@@ -285,9 +293,39 @@ def _scalar(num: int, den: int, p):
     return FpElement(num * pow(den, -1, p), p)
 
 
+def integer_kernel(rows, ncols: int, p=None):
+    """Integer vectors spanning the right kernel of integer rows with ncols
+    columns, and their common denominator: (vectors, den).
+
+    One vector per free column f of the reduced form from eliminate(...,
+    full=True).  Over Z, den is the lcm L of the pivots, the vector has L
+    at f and -r[f] * (L // r[pc]) at the pivot column pc of each reduced
+    row r.  Modulo p, den is 1, the vector has 1 at f and -r[f] / r[pc]
+    at pc, as residues.  Divided by den, each vector is the kernel vector
+    with entry 1 at f.
+    """
+    red, pivots, _ = eliminate(rows, p, full=True)
+    if p is None:
+        den = math.lcm(*(r[pc] for r, pc in zip(red, pivots)))
+        steps = [(r, pc, den // r[pc]) for r, pc in zip(red, pivots)]
+    else:
+        den = 1
+        steps = [(r, pc, pow(r[pc], -1, p)) for r, pc in zip(red, pivots)]
+    vectors = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = den
+        for r, pc, q in steps:
+            v[pc] = -r[f] * q if p is None else -r[f] * q % p
+        vectors.append(v)
+    return vectors, den
+
+
 def _reduced(m: Matrix):
     """(integer rows of the reduced echelon form of m, pivots, p)."""
-    rows, p, _ = integer_form(m)
+    rows, p, _ = integer_form(m.rows())
     rows, pivots, _ = eliminate(rows, p, full=True)
     return rows, pivots, p
 
@@ -300,7 +338,7 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    rows, p, _ = integer_form(m)
+    rows, p, _ = integer_form(m.rows())
     return len(eliminate(rows, p)[1])
 
 
@@ -310,25 +348,16 @@ def kernel_basis(m: Matrix):
     One vector per free column, with entry 1 in the free position.  The
     basis has exactly ncols - rank(m) vectors.
     """
-    rows, pivots, p = _reduced(m)
-    zero, one = _scalar(0, 1, p), _scalar(1, 1, p)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivots:
-            continue
-        v = [zero] * m.ncols
-        v[f] = one
-        for r, pc in zip(rows, pivots):
-            v[pc] = _scalar(-r[f], r[pc], p)
-        basis.append(tuple(v))
-    return basis
+    rows, p, _ = integer_form(m.rows())
+    vectors, den = integer_kernel(rows, m.ncols, p)
+    return [tuple(_scalar(x, den, p) for x in v) for v in vectors]
 
 
 def det(m: Matrix):
     """Exact determinant; the input must be square."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows, p, scales = integer_form(m)
+    rows, p, scales = integer_form(m.rows())
     # Over F_p the rows are residues, and the integer determinant of the
     # residues reduces to the determinant mod p.
     rows, pivots, sign = eliminate(rows)

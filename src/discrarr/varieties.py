@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .arrangement import (Arrangement, RetryBudgetExceeded, is_generic,
                           pair_det, parallel)
-from .discriminantal import dependency_space, intersection_rank
-from .linalg import DEFAULT_SCREEN_PRIME, FpElement, Matrix, eliminate, integer_form
+from .discriminantal import dependency_rows, intersection_rank
+from .linalg import DEFAULT_SCREEN_PRIME, FpElement, eliminate, integer_form
 from .presentations import (Presentation, check_bba, degenerate,
                             expected_rank, format_family, is_admissible,
                             ladder, min_expected_rank_above, orbit_canonical,
@@ -332,7 +332,9 @@ def solve_on_variety(family, seed: int, height: int = 9,
 
     Draws every normal but one at random, then solves the family equation
     for the remaining normal; the equation is linear homogeneous in it.
-    Rechecks genericity and that the equation vanishes exactly.
+    The draws and the solve are in ints; Fractions are built once, for
+    the arrangement.  Rechecks genericity and that the equation vanishes
+    exactly.
     """
     if isinstance(family, str):
         family = family_by_name(family)
@@ -347,20 +349,20 @@ def solve_on_variety(family, seed: int, height: int = 9,
         for i in range(1, n + 1):
             if i == m:
                 continue
-            v = (Fraction(rng.randint(-h, h)), Fraction(rng.randint(-h, h)))
-            normals[i] = v
+            normals[i] = (rng.randint(-h, h), rng.randint(-h, h))
         if any(not any(v) for v in normals.values()):
             continue
         drawn = sorted(normals)
         if any(_cross(normals[i], normals[j]) == 0
                for i, j in itertools.combinations(drawn, 2)):
             continue
-        cx = _eval_with(normals, m, (Fraction(1), Fraction(0)), family)
-        cy = _eval_with(normals, m, (Fraction(0), Fraction(1)), family)
+        cx = _eval_with(normals, m, (1, 0), family)
+        cy = _eval_with(normals, m, (0, 1), family)
         if not cx and not cy:
             continue
         normals[m] = (-cy, cx)
-        a = Arrangement(2, tuple(normals[i] for i in range(1, n + 1)))
+        a = Arrangement(2, tuple(tuple(map(Fraction, normals[i]))
+                                 for i in range(1, n + 1)))
         if not is_generic(a):
             continue
         value = family.poly(a)
@@ -379,7 +381,7 @@ def _eval_with(normals: dict, m: int, vm, family: VarietyFamily):
     table[m] = vm
 
     def prod(pairs):
-        acc = Fraction(1)
+        acc = 1
         for i, j in pairs:
             acc *= _cross(table[i], table[j])
         return acc
@@ -618,16 +620,17 @@ class AuditReport:
 
 
 def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
-    """Every index set of [n] with a size in sizes, mapped to its
-    dependency basis with denominators cleared, reduced mod p.
+    """Every index set of [n] with a size in sizes, mapped to its integer
+    dependency rows (the ones intersection_rank stacks), reduced mod p.
 
     Built once per audit and dropped with it.
     """
+    normals, _, _ = integer_form(a.normals)
     out = {}
     for size in sizes:
         for s in itertools.combinations(range(1, a.n + 1), size):
-            rows, _, _ = integer_form(Matrix.from_rows(dependency_space(a, s).basis))
-            out[frozenset(s)] = [tuple(x % p for x in row) for row in rows]
+            out[frozenset(s)] = [tuple(x % p for x in row)
+                                 for row in dependency_rows(normals, None, s)]
     return out
 
 

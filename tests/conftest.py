@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from discrarr.arrangement import Arrangement, from_int_columns
+from discrarr.discriminantal import dependency_space
+from discrarr.linalg import Matrix, rank
 
 
 def crapo_arrangement(lam) -> Arrangement:
@@ -145,6 +147,34 @@ def circuits_oracle(a: Arrangement):
             if dependent(comb):
                 out.append(s)
     return frozenset(out)
+
+
+# the Matrix-rank forms that arrangement and discriminantal used before
+# their rank tests moved to integer normals
+
+def is_generic_matrix_oracle(a: Arrangement) -> bool:
+    size = min(a.k, a.n)
+    return all(rank(a.column_stack(comb)) == size
+               for comb in itertools.combinations(range(1, a.n + 1), size))
+
+
+def parallel_matrix_oracle(a: Arrangement, i: int, j: int) -> bool:
+    return rank(a.column_stack([i, j])) <= 1
+
+
+def circuits_matrix_oracle(a: Arrangement) -> frozenset:
+    found = []
+    for size in range(2, min(a.k + 1, a.n) + 1):
+        for comb in itertools.combinations(range(1, a.n + 1), size):
+            s = frozenset(comb)
+            if not any(c <= s for c in found) and rank(a.column_stack(comb)) < size:
+                found.append(s)
+    return frozenset(found)
+
+
+def intersection_rank_matrix_oracle(a: Arrangement, family) -> int:
+    rows = [v for s in family for v in dependency_space(a, s).basis]
+    return rank(Matrix.from_rows(rows)) if rows else 0
 
 
 def random_admissible_family(rng, n, k, max_members=3):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrarr.arrangement import save_arrangement
 from discrarr.cli import main
@@ -240,3 +246,98 @@ def test_bad_field_exit_code(capsys, crapo_files):
     code, _, err = run(capsys, "membership", "--input", p1, "--family", "W6",
                        "--field", "Fp:10")
     assert code == 2
+
+
+def test_json_integer_entries(capsys, tmp_path):
+    ints = tmp_path / "ints.json"
+    ints.write_text('{"k": 2, "normals": [[1, 0], [0, 1], [2, 2], [1, 1]]}')
+    strs = tmp_path / "strs.json"
+    strs.write_text('{"k": 2, "normals": [["1", "0"], ["0", "1"], ["2", "2"], ["1", "1"]]}')
+    code, out, _ = run(capsys, "circuits", "--input", str(ints))
+    assert code == 0
+    _, want, _ = run(capsys, "circuits", "--input", str(strs))
+    assert json_doc(out)["circuits"] == json_doc(want)["circuits"] == \
+        [[1, 2, 3], [1, 2, 4], [3, 4]]
+
+
+@pytest.mark.parametrize("entry", ["1.5", "true", "2.0"])
+def test_float_and_bool_entries_exit_code(capsys, tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"k": 2, "normals": [[%s, 0], [0, 1], [1, 1]]}' % entry)
+    code, out, err = run(capsys, "circuits", "--input", str(bad))
+    assert code == 2
+    assert str(bad) in err and "JSON:" not in out
+
+
+def test_render_missing_translation_exit_code(capsys, crapo_files, tmp_path):
+    p1, _ = crapo_files
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "render", "--input", p1, "--translation", str(missing))
+    assert code == 2
+    assert str(missing) in err and "JSON:" not in out
+
+
+def test_render_huge_coordinates_exit_code(capsys, tmp_path):
+    # a crossing at y = -10**400 has no float coordinate
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps({"k": 2, "normals": [[1, 0], [0, 1], ["1", f"1/{10**400}"]]}))
+    t = tmp_path / "t.json"
+    t.write_text('{"t": ["1", "0", "0"]}')
+    code, out, err = run(capsys, "render", "--input", str(a), "--translation", str(t))
+    assert code == 2
+    assert "too large" in err and "JSON:" not in out
+
+
+# Fuzzing the CLI in-process: random JSON for the arrangement and the
+# translation file, mixed with documents shaped like the real formats so
+# that some runs get past parsing.
+
+json_scalars = st.one_of(
+    st.integers(-12, 12), st.integers(-12, 12).map(str),
+    st.tuples(st.integers(-12, 12), st.integers(-2, 7)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.floats(), st.booleans(), st.none(), st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=6)
+arrangement_docs = st.one_of(
+    json_values,
+    st.fixed_dictionaries({
+        "k": st.one_of(st.integers(0, 3), json_scalars),
+        "normals": st.lists(st.lists(json_scalars, max_size=4), max_size=7)}),
+    st.sampled_from((2, 2, 3)).flatmap(lambda k: st.fixed_dictionaries({
+        "k": st.just(k),
+        "normals": st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                            min_size=5, max_size=7)})))
+translation_docs = st.one_of(
+    json_values, st.fixed_dictionaries({"t": st.lists(json_scalars, max_size=7)}),
+    st.fixed_dictionaries({"t": st.lists(st.integers(-3, 3), min_size=6, max_size=6)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=arrangement_docs, tdoc=st.one_of(st.none(), st.none(), translation_docs),
+       cmd=st.sampled_from(("circuits", "rank", "membership", "render")),
+       family=st.sampled_from(("W6", "123,145")),
+       field=st.sampled_from(("Q", "Fp:7")))
+def test_cli_fuzz_is_total(doc, tdoc, cmd, family, field):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        path.write_text(json.dumps(doc))
+        argv = [cmd, "--input", str(path), "--field", field]
+        if cmd in ("rank", "membership"):
+            argv += ["--family", family]
+        if cmd == "render":
+            argv += ["--output", str(Path(tmp) / "out.svg")]
+            if tdoc is not None:
+                tpath = Path(tmp) / "t.json"
+                tpath.write_text(json.dumps(tdoc))
+                argv += ["--translation", str(tpath)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        json_doc(out.getvalue())
+    else:
+        assert err.getvalue().strip()

@@ -1,0 +1,85 @@
+"""Rank tests on integer normals against the Matrix-rank forms they
+replaced (kept in conftest), over Q and F_7."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from discrarr.arrangement import (Arrangement, circuits, is_generic, parallel,
+                                  random_generic)
+from discrarr.discriminantal import (_dependent, dependency_space,
+                                     intersection_rank, is_circuit)
+from discrarr.linalg import FpElement, PrimeField, rank
+from .conftest import (circuits_matrix_oracle, intersection_rank_matrix_oracle,
+                       is_generic_matrix_oracle, parallel_matrix_oracle)
+
+# numerators stay below 7 in absolute value, so no nonzero entry or
+# product of two entries vanishes mod 7
+scalars = st.one_of(st.integers(-4, 4).map(F),
+                    st.builds(F, st.integers(-6, 6), st.integers(1, 5)))
+units = scalars.filter(bool)
+
+
+@st.composite
+def arrangements(draw, prime):
+    """k = 2 or 3, up to 7 normals with non-unit denominators, some of
+    them scaled copies of earlier ones (parallel or repeated normals)."""
+    k = draw(st.sampled_from((2, 3)))
+    normals = []
+    for _ in range(draw(st.integers(2, 7))):
+        if normals and draw(st.integers(0, 3)) == 0:
+            c = draw(units)
+            normals.append(tuple(c * x for x in draw(st.sampled_from(normals))))
+            continue
+        v = draw(st.lists(scalars, min_size=k, max_size=k))
+        if not any(v):
+            v[draw(st.integers(0, k - 1))] = draw(units)
+        normals.append(tuple(v))
+    if prime is not None:
+        fp = PrimeField(prime)
+        normals = [tuple(fp(x) for x in v) for v in normals]
+    return Arrangement(k, tuple(normals))
+
+
+@st.composite
+def with_family(draw, prime):
+    a = draw(arrangements(prime))
+    member = st.sets(st.integers(1, a.n), min_size=2)
+    return a, draw(st.lists(member, max_size=4))
+
+
+@pytest.mark.parametrize("prime", (None, 7))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rank_tests_match_matrix_oracles(prime, data):
+    a, family = data.draw(with_family(prime))
+    assert is_generic(a) == is_generic_matrix_oracle(a)
+    want = circuits_matrix_oracle(a)
+    assert circuits(a) == want
+    for i in range(1, a.n + 1):
+        for j in range(i + 1, a.n + 1):
+            assert parallel(a, i, j) == parallel_matrix_oracle(a, i, j)
+    assert a.essential == (rank(a.column_stack()) == a.k)
+    for s in family:
+        assert _dependent(a, s) == any(c <= frozenset(s) for c in want)
+        assert is_circuit(a, s) == (frozenset(s) in want)
+    assert intersection_rank(a, family) == intersection_rank_matrix_oracle(a, family)
+
+
+def test_intersection_rank_rejects_bad_indices():
+    a = random_generic(6, 2, 1)
+    with pytest.raises(IndexError):
+        intersection_rank(a, [{0, 1, 2}])
+    with pytest.raises(IndexError):
+        intersection_rank(a, [{5, 6, 7}])
+
+
+def test_dependency_space_prime_field_entries():
+    fp = PrimeField(1299709)
+    a = random_generic(6, 2, 1)
+    b = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
+    basis = dependency_space(b, (1, 2, 3)).basis
+    assert basis and all(type(x) is FpElement for v in basis for x in v)
+    assert basis == tuple(tuple(fp(x) for x in v) for v in basis)

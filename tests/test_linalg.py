@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrarr.linalg import (DEFAULT_SCREEN_PRIME, FpElement, Matrix,
-                             PrimeField, det, is_prime, kernel_basis,
-                             matrix_to_field, parse_scalar, rank, rref,
-                             scalar_str, solve)
+                             PrimeField, det, integer_form, integer_kernel,
+                             is_prime, kernel_basis, matrix_to_field,
+                             parse_scalar, rank, rref, scalar_str, solve)
 from .conftest import (crapo_arrangement, det_elim_oracle, det_oracle,
                        rank_oracle, rref_oracle)
 
@@ -272,3 +272,33 @@ def test_det_matches_fraction_elimination(prime, rows):
     d = det(m)
     assert norm(d) == det_elim_oracle(orows, one)
     assert_field_elements([d], prime)
+
+
+@pytest.mark.parametrize("prime", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(rows=exact_rows())
+def test_integer_kernel_spans_kernel_basis(prime, rows):
+    m, _, one, norm = field_case(rows, prime)
+    irows, p, _ = integer_form(m.rows())
+    assert p == prime
+    vectors, den = integer_kernel(irows, m.ncols, p)
+    assert all(type(x) is int for v in vectors for x in v)
+    for v in vectors:
+        for r in irows:
+            dot = sum(x * y for x, y in zip(r, v))
+            assert (dot if p is None else dot % p) == 0
+    basis = kernel_basis(m)
+    assert len(vectors) == len(basis)
+    as_field = [[norm(F(x)) for x in v] for v in vectors]
+    assert rank(Matrix.from_rows(as_field + [[norm(x) for x in v] for v in basis])) \
+        == len(basis)
+    assert [tuple(norm(F(x, den)) for x in v) for v in vectors] == \
+        [tuple(norm(x) for x in v) for v in basis]
+
+
+def test_parse_scalar_json_values():
+    assert parse_scalar(3) == 3 and type(parse_scalar(-4)) is F
+    assert parse_scalar(" -2/6 ") == F(-1, 3)
+    for bad in (1.5, 2.0, True, None, [1]):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
