@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Matrix, det, dot, eliminate, integer_form, kernel_basis,
-                     parse_scalar, rref, scalar_str)
+                     maximal_minors, parse_scalar, rref, scalar_str)
 
 log = logging.getLogger(__name__)
 
@@ -110,14 +110,14 @@ def circuits(a: Arrangement) -> frozenset:
 def is_generic(a: Arrangement) -> bool:
     """True iff every circuit has size exactly k+1.
 
-    Equivalently, every subset of min(n, k) normals is independent.  The
-    normals become integer rows once; scaling a normal changes no
-    independence.
+    Equivalently, every subset of min(n, k) normals is independent: with
+    n >= k, every maximal minor is nonzero.  The normals become integer
+    rows once; scaling a normal changes no independence.
     """
     rows, p, _ = integer_form(a.normals)
-    size = min(a.k, a.n)
-    return all(len(eliminate([rows[i] for i in comb], p)[1]) == size
-               for comb in itertools.combinations(range(a.n), size))
+    if a.n < a.k:
+        return len(eliminate(rows, p)[1]) == a.n
+    return all(maximal_minors(rows, p).values())
 
 
 def pair_det(a: Arrangement, i: int, j: int):

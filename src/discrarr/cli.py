@@ -150,7 +150,12 @@ def cmd_degenerate(args, out):
 def cmd_sample(args, out):
     extra = {} if args.budget is None else {"budget": args.budget}
     if args.family is not None:
-        a = solve_on_variety(args.family, seed=args.seed, height=args.height,
+        try:
+            family = family_by_name(args.family)
+        except KeyError:
+            raise _CliError(f"unknown family {args.family!r} for an on-variety "
+                            f"sample; use {', '.join(FAMILY_SHORTCUTS)}, W<m> or L<m>")
+        a = solve_on_variety(family, seed=args.seed, height=args.height,
                              **extra)
         kind = f"on-variety {args.family}"
     else:

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .linalg import (Matrix, det, dot, eliminate, integer_form,
-                     integer_kernel, kernel_basis, parse_scalar, scalar_str,
-                     solve)
+                     integer_kernel, kernel_basis, maximal_minors, parse_scalar,
+                     scalar_str, solve)
 from .presentations import Presentation, presentation
 
 
@@ -107,23 +107,42 @@ def _members_of(t) -> list:
     return sorted((frozenset(s) for s in t), key=lambda s: (len(s), sorted(s)))
 
 
-def dependency_rows(normals, p, s) -> list:
+def dependency_rows(normals, p, s, minors) -> list:
     """Integer rows spanning the dependencies among the integer normals
     indexed by s (1-based), embedded into Z^n for n normals, or into F_p^n
     as residues.
 
     normals are an arrangement's normals after integer_form, which scales
-    each normal.  Scaling normal i by c divides coordinate i of every
-    dependency by c, the same for every index set, so a stack of these
-    rows has the rank of the stacked dependency spaces of the normals.
+    each normal, and minors is maximal_minors(normals, p).  Scaling normal
+    i by c divides coordinate i of every dependency by c, the same for
+    every index set, so a stack of these rows has the rank of the stacked
+    dependency spaces of the normals.
+
+    When the first k indices B of s have a nonzero minor, the rows are
+    the circuits of B and each further x, read from the table by the
+    signed-minor formula of circuit_normal: on c = B + (x,), coordinate
+    c_j is (-1)^j times the minor of c without c_j.  Otherwise (s has
+    fewer than k indices, or B holds parallel or repeated normals) they
+    come from integer_kernel.
     """
     s = sorted(s)
     n = len(normals)
     if s[0] < 1 or s[-1] > n:
         raise IndexError(f"index set {s} out of range 1..{n}")
+    k = len(normals[0])
+    base = tuple(i - 1 for i in s[:k])
+    out = []
+    if len(s) >= k and minors[base]:
+        for x in s[k:]:
+            c = base + (x - 1,)
+            full = [0] * n
+            for j, cj in enumerate(c):
+                v = minors[c[:j] + c[j + 1:]]
+                full[cj] = -v if j % 2 else v
+            out.append(full if p is None else [y % p for y in full])
+        return out
     cols = [normals[i - 1] for i in s]
     vectors, _ = integer_kernel(list(zip(*cols)), len(s), p)
-    out = []
     for v in vectors:
         full = [0] * n
         for x, i in zip(v, s):
@@ -137,15 +156,17 @@ def intersection_rank(a: Arrangement, t) -> int:
 
     This is the codimension, inside the space of translations, of the set
     of translations keeping every member concurrent.  The empty family has
-    rank 0.  The normals become integer rows once per call.
+    rank 0.  The normals become integer rows and their table of maximal
+    minors once per call.
     """
     members = _members_of(t)
     normals, p, _ = integer_form(a.normals)
+    minors = maximal_minors(normals, p)
     rows = []
     for s in members:
         if len(s) < 2:
             raise ValueError("family members need at least 2 indices")
-        rows.extend(dependency_rows(normals, p, s))
+        rows.extend(dependency_rows(normals, p, s, minors))
     return len(eliminate(rows, p)[1])
 
 

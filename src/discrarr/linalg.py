@@ -15,8 +15,15 @@ once and runs every rank test on the result.  :func:`integer_kernel` is
 the one kernel routine; :func:`kernel_basis` is its Fraction/FpElement
 view.  Results are turned back into field elements only at the end, so no
 elimination step does Fraction or FpElement arithmetic.
+
+:func:`maximal_minors` is the table for rank-2 work: the C(n, k) maximal
+minors (Plücker coordinates) of n integer normals of length k, built once
+per call.  For k = 2 they are the 2x2 determinants D(i, j) that
+genericity, the Cramer dependency rows of triples and every product
+equation of a variety are read from.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -284,6 +291,31 @@ def eliminate(rows, p=None, full=False, limit=None):
         if k == nr or (limit is not None and k > limit):
             break
     return rows, pivots, sign
+
+
+def maximal_minors(rows, p=None) -> dict:
+    """The maximal minors of n integer rows of length k, keyed by the
+    0-based sorted k-tuple of rows: C(n, k) entries, none when n < k.
+
+    For k = 2 an entry is the cross product rows[i] x rows[j]; otherwise
+    it is sign times the last Bareiss pivot of the k x k rows, or 0 when
+    they are dependent.  Modulo p the rows are residues and the entries
+    are reduced mod p, as det does.
+    """
+    if not rows:
+        return {}
+    k = len(rows[0])
+    if k == 2:
+        table = {(i, j): u[0] * v[1] - u[1] * v[0]
+                 for (i, u), (j, v) in itertools.combinations(enumerate(rows), 2)}
+    else:
+        table = {}
+        for comb in itertools.combinations(range(len(rows)), k):
+            red, pivots, sign = eliminate([rows[i] for i in comb])
+            table[comb] = sign * red[-1][-1] if len(pivots) == k else 0
+    if p is not None:
+        table = {key: v % p for key, v in table.items()}
+    return table
 
 
 def _scalar(num: int, den: int, p):

@@ -4,13 +4,16 @@ desk-scale classification of minimal rank-drop presentations.
 An arrangement belongs to the variety of a family (T, r) when the joint
 dependency span of T has rank at most r.  For wheel- and ladder-shaped
 families of triples in the plane, membership is cut out by a single
-difference of two products of 2x2 determinants; those polynomials are
-evaluated literally here, and solved for one normal to manufacture
-on-variety witnesses.
+difference of two products of 2x2 determinants.  The public polynomials
+keep Fraction values; the scans and the sampler evaluate the same products
+in ints, on the table of 2x2 minors of the integer normals, and solve them
+for one normal to manufacture on-variety witnesses.
 """
 
+import collections
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +21,8 @@ from fractions import Fraction
 from .arrangement import (Arrangement, RetryBudgetExceeded, is_generic,
                           pair_det, parallel)
 from .discriminantal import dependency_rows, intersection_rank
-from .linalg import DEFAULT_SCREEN_PRIME, FpElement, eliminate, integer_form
+from .linalg import (DEFAULT_SCREEN_PRIME, FpElement, eliminate, integer_form,
+                     maximal_minors)
 from .presentations import (Presentation, check_bba, degenerate,
                             expected_rank, format_family, is_admissible,
                             ladder, min_expected_rank_above, orbit_canonical,
@@ -90,12 +94,22 @@ class WheelLabeling:
             raise ValueError("rim indices must be pairwise distinct")
 
 
-def _product(a: Arrangement, pairs) -> Fraction:
-    acc = None
-    for i, j in pairs:
-        d = pair_det(a, i, j)
-        acc = d if acc is None else acc * d
-    return acc
+def _products(minor, left, right):
+    """prod(minor(i, j) for (i, j) in left) - the same over right: the
+    value of a product equation, with minor(i, j) = D(i, j)."""
+    return (math.prod(minor(i, j) for i, j in left)
+            - math.prod(minor(i, j) for i, j in right))
+
+
+def _pair_minors(rows, p=None) -> list:
+    """The 2x2 minors of the integer rows as a nested list d with
+    d[i][j] = D(i, j) for 1-based i, j: D(j, i) = -D(i, j), D(i, i) = 0."""
+    n = len(rows)
+    d = [[0] * (n + 1) for _ in range(n + 1)]
+    for (i, j), v in maximal_minors(rows, p).items():
+        d[i + 1][j + 1] = v
+        d[j + 1][i + 1] = -v
+    return d
 
 
 def _wheel_factors(lab: WheelLabeling):
@@ -129,7 +143,7 @@ def wheel_poly(a: Arrangement, lab: WheelLabeling, plain: bool = True):
                         f"hyperplanes {u} and {v} coincide; wheel products need "
                         "distinct neighbours around the cycle")
     left, right = _wheel_factors(lab)
-    return _product(a, left) - _product(a, right)
+    return _products(functools.partial(pair_det, a), left, right)
 
 
 def _ladder_factors(m: int):
@@ -150,7 +164,7 @@ def ladder_poly(a: Arrangement, nrungs: int):
     if a.n != m:
         raise ValueError(f"ladder on {m} lines, arrangement has {a.n}")
     left, right = _ladder_factors(m)
-    return _product(a, left) - _product(a, right)
+    return _products(functools.partial(pair_det, a), left, right)
 
 
 def crapo_poly(a: Arrangement, labels=(1, 2, 3, 4, 5, 6)):
@@ -170,7 +184,7 @@ def crapo_poly(a: Arrangement, labels=(1, 2, 3, 4, 5, 6)):
         right = [(l[0], l[6]), (l[0], l[4]), (l[1], l[5]), (l[2], l[3])]
     else:
         raise ValueError("need 6 or 7 labels")
-    return _product(a, left) - _product(a, right)
+    return _products(functools.partial(pair_det, a), left, right)
 
 
 def wheel_labeling_of(p: Presentation) -> WheelLabeling | None:
@@ -231,11 +245,21 @@ class VarietyFamily:
 
     left/right are lists of index pairs; the equation is
     prod(D(i, j) for (i, j) in left) - prod(D(i, j) for (i, j) in right).
+    Every index must occur equally often in left and in right: then
+    scaling a normal by c multiplies both products by the same power of
+    c, so the equation keeps its zeros on the integer normals.
     """
     name: str
     pres: Presentation
     left: tuple
     right: tuple
+
+    def __post_init__(self):
+        count = collections.Counter(i for pair in self.left for i in pair)
+        count.subtract(i for pair in self.right for i in pair)
+        if any(count.values()):
+            raise ValueError(f"equation of {self.name} is not homogeneous "
+                             "in every normal")
 
     @property
     def ground(self) -> int:
@@ -246,7 +270,7 @@ class VarietyFamily:
         if mapping is not None:
             left = [(mapping[i], mapping[j]) for i, j in left]
             right = [(mapping[i], mapping[j]) for i, j in right]
-        return _product(a, left) - _product(a, right)
+        return _products(functools.partial(pair_det, a), left, right)
 
     def solve_index(self) -> int:
         """Largest index in which the equation is linear (appears exactly
@@ -307,7 +331,7 @@ def _wd8_4_family() -> VarietyFamily:
     return _wheel_family("Wd8_4", pres, lab)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def family_by_name(name: str) -> VarietyFamily:
     """Resolve the classification shortcuts: W6, W8, .., Wd8_4, L8, DW10."""
     if name == "Wd8_4":
@@ -343,6 +367,11 @@ def solve_on_variety(family, seed: int, height: int = 9,
     m = family.solve_index()
     n = family.ground
     rng = random.Random(seed)
+
+    def equation(rows):
+        d = _pair_minors(rows)
+        return _products(lambda i, j: d[i][j], family.left, family.right)
+
     for attempt in range(budget):
         h = height + attempt // 8
         normals = {}
@@ -352,41 +381,23 @@ def solve_on_variety(family, seed: int, height: int = 9,
             normals[i] = (rng.randint(-h, h), rng.randint(-h, h))
         if any(not any(v) for v in normals.values()):
             continue
-        drawn = sorted(normals)
-        if any(_cross(normals[i], normals[j]) == 0
-               for i, j in itertools.combinations(drawn, 2)):
+        if not all(maximal_minors(list(normals.values())).values()):
             continue
-        cx = _eval_with(normals, m, (1, 0), family)
-        cy = _eval_with(normals, m, (0, 1), family)
+        rows = [normals.get(i) for i in range(1, n + 1)]
+        rows[m - 1] = (1, 0)
+        cx = equation(rows)
+        rows[m - 1] = (0, 1)
+        cy = equation(rows)
         if not cx and not cy:
             continue
-        normals[m] = (-cy, cx)
-        a = Arrangement(2, tuple(tuple(map(Fraction, normals[i]))
-                                 for i in range(1, n + 1)))
+        rows[m - 1] = (-cy, cx)
+        a = Arrangement(2, tuple(tuple(map(Fraction, v)) for v in rows))
         if not is_generic(a):
             continue
-        value = family.poly(a)
-        assert value == 0, "solved normal must lie on the variety"
+        assert equation(rows) == 0, "solved normal must lie on the variety"
         return a
     raise RetryBudgetExceeded(
         f"no on-variety sample for {family.name} in {budget} draws (seed={seed})")
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _eval_with(normals: dict, m: int, vm, family: VarietyFamily):
-    table = dict(normals)
-    table[m] = vm
-
-    def prod(pairs):
-        acc = 1
-        for i, j in pairs:
-            acc *= _cross(table[i], table[j])
-        return acc
-
-    return prod(family.left) - prod(family.right)
 
 
 @dataclass(frozen=True)
@@ -458,20 +469,29 @@ def _distinct_relabelings(p: Presentation, n: int):
 
 def eight_line_report(a: Arrangement) -> EightLineReport:
     """Scan all relabelings of the five eight-line families, evaluate each
-    family equation, and certify every vanishing instance by its rank."""
+    family equation, and certify every vanishing instance by its rank.
+
+    The equations are evaluated in ints on the 2x2 minors of the integer
+    normals, computed once; a VarietyFamily's equation keeps its zeros
+    there."""
     if a.n != 8 or a.k != 2:
         raise ValueError("the scan is defined for 8 lines in the plane")
     if not is_generic(a):
         raise ValueError("the scan needs a generic arrangement")
+    normals, p, _ = integer_form(a.normals)
+    d = _pair_minors(normals, p)
 
     def scan(fam: VarietyFamily):
         out = []
         count = 0
         r = default_r(fam.pres.with_ground(8))
-        support = sorted(fam.pres.support)
+        pos = {i: j for j, i in enumerate(sorted(fam.pres.support))}
+        left = [(pos[i], pos[j]) for i, j in fam.left]
+        right = [(pos[i], pos[j]) for i, j in fam.right]
         for labels, image in _distinct_relabelings(fam.pres, 8):
             count += 1
-            if fam.poly(a, dict(zip(support, labels))) == 0:
+            value = _products(lambda i, j: d[labels[i]][labels[j]], left, right)
+            if (value if p is None else value % p) == 0:
                 cert = intersection_rank(a, image)
                 out.append(ReportHit(fam.name, labels, r, cert))
         return out, count
@@ -626,11 +646,12 @@ def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
     Built once per audit and dropped with it.
     """
     normals, _, _ = integer_form(a.normals)
+    minors = maximal_minors(normals)
     out = {}
     for size in sizes:
         for s in itertools.combinations(range(1, a.n + 1), size):
             out[frozenset(s)] = [tuple(x % p for x in row)
-                                 for row in dependency_rows(normals, None, s)]
+                                 for row in dependency_rows(normals, None, s, minors)]
     return out
 
 

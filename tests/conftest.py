@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,18 @@ def circuits_matrix_oracle(a: Arrangement) -> frozenset:
 def intersection_rank_matrix_oracle(a: Arrangement, family) -> int:
     rows = [v for s in family for v in dependency_space(a, s).basis]
     return rank(Matrix.from_rows(rows)) if rows else 0
+
+
+def equation_with(fam, normals: dict, m: int, vm):
+    """fam's product equation on the plane normals {index: (x, y)}, with
+    normal m set to vm, by literal cross products."""
+    table = {**normals, m: vm}
+
+    def cross(i, j):
+        return table[i][0] * table[j][1] - table[i][1] * table[j][0]
+
+    return (math.prod(cross(i, j) for i, j in fam.left)
+            - math.prod(cross(i, j) for i, j in fam.right))
 
 
 def random_admissible_family(rng, n, k, max_members=3):

@@ -20,12 +20,13 @@ from discrarr.linalg import random_invertible
 from discrarr.presentations import (expected_rank, format_family,
                                     is_admissible, leq, presentation,
                                     twin_wheel, wheel)
-from discrarr.varieties import (WheelLabeling, _eval_with, audit_arrangement,
+from discrarr.varieties import (WheelLabeling, audit_arrangement,
                                 candidate_presentations, crapo_poly, default_r,
                                 family_by_name, membership,
                                 orbit_canonical_cached, solve_on_variety,
                                 wheel_poly)
-from .conftest import TEN_LINE_FAMILY, crapo_arrangement, random_admissible_family
+from .conftest import (TEN_LINE_FAMILY, crapo_arrangement, equation_with,
+                       random_admissible_family)
 
 W6_FAMILY = [{1, 2, 3}, {1, 5, 6}, {2, 4, 6}, {3, 4, 5}]
 
@@ -153,8 +154,8 @@ def degenerate_wheel_sample(seed: int) -> Arrangement:
         if any(normals[i][0] * normals[j][1] == normals[i][1] * normals[j][0]
                for i, j in pairs):
             continue
-        cx = _eval_with(normals, 7, (F(1), F(0)), w8)
-        cy = _eval_with(normals, 7, (F(0), F(1)), w8)
+        cx = equation_with(w8, normals, 7, (F(1), F(0)))
+        cy = equation_with(w8, normals, 7, (F(0), F(1)))
         if not cx and not cy:
             continue
         normals[7] = (-cy, cx)

@@ -128,6 +128,13 @@ def test_sample_roundtrip_and_determinism(capsys, tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+@pytest.mark.parametrize("name", ("Wxyz", "Lfoo", ""))
+def test_sample_unknown_family_exit_code(capsys, name):
+    code, out, err = run(capsys, "sample", f"--family={name}")
+    assert code == 2
+    assert "unknown family" in err and "JSON:" not in out
+
+
 def test_sample_on_variety(capsys, tmp_path):
     path = tmp_path / "w6.json"
     code, out, _ = run(capsys, "sample", "--family", "W6", "--seed", "7",
@@ -315,18 +322,26 @@ translation_docs = st.one_of(
     st.fixed_dictionaries({"t": st.lists(st.integers(-3, 3), min_size=6, max_size=6)}))
 
 
+# family texts: the shortcuts, malformed names and short random strings;
+# two characters name at most a nine-line wheel or ladder
+family_texts = st.one_of(
+    st.sampled_from(("W6", "W8", "W10", "Wd8_4", "L8", "DW10", "123,145",
+                     "Wxyz", "W5", "L7", "W06", "")),
+    st.text(alphabet="WLDd_0123456789,", max_size=2), st.text(max_size=2))
+
+
 @settings(max_examples=100, deadline=None)
 @given(doc=arrangement_docs, tdoc=st.one_of(st.none(), st.none(), translation_docs),
-       cmd=st.sampled_from(("circuits", "rank", "membership", "render")),
-       family=st.sampled_from(("W6", "123,145")),
+       cmd=st.sampled_from(("circuits", "rank", "membership", "render", "sample")),
+       family=family_texts,
        field=st.sampled_from(("Q", "Fp:7")))
 def test_cli_fuzz_is_total(doc, tdoc, cmd, family, field):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.json"
         path.write_text(json.dumps(doc))
         argv = [cmd, "--input", str(path), "--field", field]
-        if cmd in ("rank", "membership"):
-            argv += ["--family", family]
+        if cmd in ("rank", "membership", "sample"):
+            argv += [f"--family={family}"]
         if cmd == "render":
             argv += ["--output", str(Path(tmp) / "out.svg")]
             if tdoc is not None:

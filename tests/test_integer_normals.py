@@ -1,6 +1,8 @@
 """Rank tests on integer normals against the Matrix-rank forms they
 replaced (kept in conftest), over Q and F_7."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 
 from discrarr.arrangement import (Arrangement, circuits, is_generic, parallel,
                                   random_generic)
-from discrarr.discriminantal import (_dependent, dependency_space,
-                                     intersection_rank, is_circuit)
-from discrarr.linalg import FpElement, PrimeField, rank
-from .conftest import (circuits_matrix_oracle, intersection_rank_matrix_oracle,
-                       is_generic_matrix_oracle, parallel_matrix_oracle)
+from discrarr.discriminantal import (_dependent, dependency_rows,
+                                     dependency_space, intersection_rank,
+                                     is_circuit)
+from discrarr.linalg import (FpElement, PrimeField, eliminate, integer_form,
+                             integer_kernel, maximal_minors, rank)
+from .conftest import (circuits_matrix_oracle, det_oracle,
+                       intersection_rank_matrix_oracle, is_generic_matrix_oracle,
+                       parallel_matrix_oracle)
 
 # numerators stay below 7 in absolute value, so no nonzero entry or
 # product of two entries vanishes mod 7
@@ -66,6 +71,48 @@ def test_rank_tests_match_matrix_oracles(prime, data):
         assert _dependent(a, s) == any(c <= frozenset(s) for c in want)
         assert is_circuit(a, s) == (frozenset(s) in want)
     assert intersection_rank(a, family) == intersection_rank_matrix_oracle(a, family)
+
+
+@pytest.mark.parametrize("prime", (None, 7))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_maximal_minors_match_det_oracle(prime, data):
+    a = data.draw(arrangements(prime))
+    rows, p, scales = integer_form(a.normals)
+    table = maximal_minors(rows, p)
+    assert sorted(table) == list(itertools.combinations(range(a.n), a.k))
+    for comb, minor in table.items():
+        want = det_oracle([a.normals[i] for i in comb])
+        if p is None:
+            assert minor == want * math.prod(scales[i] for i in comb)
+        else:
+            assert minor == PrimeField(p)(want).v
+
+
+@pytest.mark.parametrize("prime", (None, 7))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cramer_rows_span_the_kernel(prime, data):
+    # rows read from the minor table (or the integer_kernel fallback) are
+    # dependencies of the normals and span what integer_kernel spans
+    a, family = data.draw(with_family(prime))
+    normals, p, _ = integer_form(a.normals)
+    minors = maximal_minors(normals, p)
+    for s in family:
+        s = sorted(s)
+        rows = dependency_rows(normals, p, s, minors)
+        for row in rows:
+            assert all(x == 0 for i, x in enumerate(row) if i + 1 not in s)
+            for c in range(a.k):
+                total = sum(x * v[c] for x, v in zip(row, normals))
+                assert (total if p is None else total % p) == 0
+        kernel, _ = integer_kernel([list(r) for r in zip(*(normals[i - 1] for i in s))],
+                                   len(s), p)
+        local = [[row[i - 1] for i in s] for row in rows]
+
+        def rk(m):
+            return len(eliminate(m, p)[1])
+        assert rk(local) == rk(kernel) == rk(local + kernel) == len(rows)
 
 
 def test_intersection_rank_rejects_bad_indices():

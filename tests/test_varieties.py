@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrarr.arrangement import (Arrangement, delete, from_int_columns,
-                                  is_generic, pair_det, random_generic)
+                                  is_generic, pair_det, random_generic, scaled)
 from discrarr.discriminantal import intersection_rank
-from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField
+from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField, integer_form
 from discrarr.presentations import (expected_rank, format_family, ladder,
                                     parse_family, presentation, twin_wheel,
                                     wheel)
-from discrarr.varieties import (WheelLabeling, _distinct_relabelings,
+from discrarr.varieties import (VarietyFamily, WheelLabeling,
+                                _distinct_relabelings, _pair_minors, _products,
                                 _rank_mod_p, audit_arrangement,
                                 candidate_presentations, crapo_poly,
-                                default_r, eight_line_report, family_by_name,
-                                ladder_poly, membership, orbit_canonical_cached,
-                                solve_on_variety, wheel_labeling_of, wheel_poly)
-from .conftest import crapo_arrangement, rank_oracle
+                                default_r, eight_line_families,
+                                eight_line_report, family_by_name, ladder_poly,
+                                membership, merged_wheel_family,
+                                orbit_canonical_cached, solve_on_variety,
+                                wheel_labeling_of, wheel_poly)
+from .conftest import crapo_arrangement, equation_with, rank_oracle
 
 W6_LAB = WheelLabeling((1, 3, 5), (2, 4, 6))
 W6_FAMILY = [{1, 2, 3}, {1, 5, 6}, {2, 4, 6}, {3, 4, 5}]
@@ -254,7 +258,6 @@ def test_audit_random_generic_empty():
 def test_degeneration_of_variety_members():
     # a parallel copy pinned on the wheel variety, then deleted, lands in
     # the merged-wheel variety with the bound dropped by one
-    from discrarr.varieties import _eval_with
     w8 = family_by_name("W8")
     wd = family_by_name("Wd8_4")
     import itertools
@@ -273,8 +276,8 @@ def test_degeneration_of_variety_members():
         if any(normals[i][0] * normals[j][1] == normals[i][1] * normals[j][0]
                for i, j in pairs):
             continue
-        cx = _eval_with(normals, 7, (F(1), F(0)), w8)
-        cy = _eval_with(normals, 7, (F(0), F(1)), w8)
+        cx = equation_with(w8, normals, 7, (F(1), F(0)))
+        cy = equation_with(w8, normals, 7, (F(0), F(1)))
         if not cx and not cy:
             continue
         normals[7] = (-cy, cx)
@@ -425,3 +428,74 @@ def test_grid_audit_work_counts(nine_line):
     classes = candidate_presentations(9, 2, 7, False)
     assert sum(1 for c in classes for _ in _distinct_relabelings(c, 9)) == 17640
     assert len(audit_arrangement(nine_line, 7).hits) == 139
+
+
+SHORTCUTS = ("W6", "W8", "W10", "Wd8_4", "L8", "DW10")
+MERGED = (WheelLabeling((1, 3, 5, 7), (2, 4, 6, 4)),
+          WheelLabeling((1, 3, 5, 7, 8), (2, 4, 6, 4, 6)),
+          WheelLabeling((1, 3, 5, 7, 9, 11), (2, 4, 6, 2, 4, 6)))
+
+
+def test_family_cache_is_bounded():
+    assert family_by_name.cache_info().maxsize is not None
+
+
+def test_family_equations_are_homogeneous():
+    fams = [family_by_name(name) for name in SHORTCUTS] + \
+        [merged_wheel_family(lab) for lab in MERGED]
+    for fam in fams:
+        for i in fam.pres.support:
+            assert sum(pair.count(i) for pair in fam.left) == \
+                sum(pair.count(i) for pair in fam.right), (fam.name, i)
+    with pytest.raises(ValueError, match="homogeneous"):
+        VarietyFamily("bad", wheel(6), ((1, 2), (3, 4)), ((1, 2), (3, 5)))
+
+
+def test_integer_products_scale_the_fraction_value():
+    # over integer_form-scaled normals, each product picks up the scale of
+    # normal i to the number of factors holding i: the same on both sides
+    rng = random.Random(12)
+    for fam in [family_by_name(name) for name in SHORTCUTS] + \
+            [merged_wheel_family(lab) for lab in MERGED]:
+        for on in (True, False):
+            a = solve_on_variety(fam, rng.randint(0, 999)) if on else \
+                random_generic(fam.ground, 2, rng.randint(0, 999))
+            for i in range(1, a.n + 1):
+                a = scaled(a, i, F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                   rng.randint(1, 9)))
+            normals, _, scales = integer_form(a.normals)
+            d = _pair_minors(normals)
+            value = _products(lambda i, j: d[i][j], fam.left, fam.right)
+            degree = math.prod(scales[i - 1] for pair in fam.left for i in pair)
+            assert value == fam.poly(a) * degree
+            assert (value == 0) == on
+
+
+def padded_to_eight(a, seed):
+    rng = random.Random(seed)
+    normals = list(a.normals)
+    while len(normals) < 8:
+        v = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
+        if any(v) and all(u[0] * v[1] - u[1] * v[0] for u in normals):
+            normals.append(v)
+    return Arrangement(2, tuple(normals))
+
+
+@pytest.mark.parametrize("prime", (None, DEFAULT_SCREEN_PRIME))
+def test_eight_line_zero_test_matches_fraction_poly(prime):
+    # the old zero test, fam.poly(a, mapping) == 0 in Fractions, against
+    # the scan's integer test on every 48th labelling and on every hit
+    samples = [solve_on_variety(name, 5) for name in ("W8", "L8", "DW10")]
+    samples += [padded_to_eight(solve_on_variety("W6", 5), 5), random_generic(8, 2, 5)]
+    for a in samples:
+        if prime is not None:
+            fp = PrimeField(prime)
+            a = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
+        hits = {(h.family, h.labels) for h in eight_line_report(a).hits}
+        for fam in eight_line_families():
+            support = sorted(fam.pres.support)
+            for t, (labels, _) in enumerate(_distinct_relabelings(fam.pres, 8)):
+                if t % 48 and (fam.name, labels) not in hits:
+                    continue
+                zero = fam.poly(a, dict(zip(support, labels))) == 0
+                assert zero == ((fam.name, labels) in hits), (fam.name, labels)
