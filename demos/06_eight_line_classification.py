@@ -9,13 +9,13 @@ of all five against a concrete arrangement reports every instance hit.
 import time
 
 from discrarr import (candidate_presentations, eight_line_report, expected_rank,
-                      format_family, solve_on_variety)
-from discrarr.varieties import default_r, eight_line_families, orbit_canonical_cached
+                      format_family, orbit_canonical, solve_on_variety)
+from discrarr.varieties import default_r, eight_line_families
 
 t0 = time.time()
 classes = candidate_presentations(8, 2, 8)
 print(f"{len(classes)} orbit classes (in {time.time() - t0:.1f}s):")
-names = {format_family(orbit_canonical_cached(f.pres)): f.name
+names = {format_family(orbit_canonical(f.pres)): f.name
          for f in eight_line_families()}
 for c in classes:
     key = format_family(c)

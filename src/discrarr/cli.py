@@ -228,10 +228,10 @@ class _Output:
             return
         self.doc = {"config": cfg_echo, **self.doc}
         line = json.dumps(self.doc, sort_keys=True)
-        print(f"JSON: {line}")
         if self.path and not self.artifact_written:
             with open(self.path, "w", encoding="utf-8") as fh:
                 fh.write(line + "\n")
+        print(f"JSON: {line}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,6 +278,7 @@ def main(argv=None) -> int:
     print(echo)
     try:
         code = args.func(args, out)
+        out.flush(cfg)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
@@ -287,7 +288,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out.flush(cfg)
+    except OSError as e:  # inputs raise _CliError; this is --output
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

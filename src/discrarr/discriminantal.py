@@ -12,12 +12,13 @@ translations.
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .linalg import (Matrix, det, dot, eliminate, integer_form,
+from .linalg import (Matrix, _scalar, dot, eliminate, integer_form,
                      integer_kernel, kernel_basis, maximal_minors, parse_scalar,
                      scalar_str, solve)
 from .presentations import Presentation, presentation
@@ -56,24 +57,17 @@ def circuit_normal(a: Arrangement, c) -> tuple:
     normals of c with the j-th column removed (columns in increasing index
     order).  Smaller circuits (parallel classes and the like) get the
     unique dependency normalized to coefficient 1 on the largest index.
+    Both are read from the one row dependency_rows gives for the integer
+    normals of c, with their row scales undone.
     """
     c = sorted(set(c))
     if not is_circuit(a, c):
         raise ValueError(f"{c} is not a circuit")
-    n = a.n
-    coeffs = [Fraction(0)] * n
-    if len(c) == a.k + 1:
-        sign = 1
-        for j, i in enumerate(c):
-            rest = c[:j] + c[j + 1:]
-            coeffs[i - 1] = sign * det(a.column_stack(rest))
-            sign = -sign
-    else:
-        basis = kernel_basis(a.column_stack(c))
-        assert len(basis) == 1
-        for pos, i in enumerate(c):
-            coeffs[i - 1] = basis[0][pos]
-    return tuple(coeffs)
+    normals, p, scales = integer_form([a.normal(i) for i in c])
+    (row,) = dependency_rows(normals, p, range(1, len(c) + 1), maximal_minors(normals, p))
+    dep = dict(zip(c, (x * s for x, s in zip(row, scales))))
+    den = math.prod(scales) if len(c) == a.k + 1 else dep[c[-1]]
+    return tuple(_scalar(dep.get(i, 0), den, p) for i in range(1, a.n + 1))
 
 
 @dataclass(frozen=True)

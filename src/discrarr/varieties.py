@@ -5,9 +5,13 @@ An arrangement belongs to the variety of a family (T, r) when the joint
 dependency span of T has rank at most r.  For wheel- and ladder-shaped
 families of triples in the plane, membership is cut out by a single
 difference of two products of 2x2 determinants.  The public polynomials
-keep Fraction values; the scans and the sampler evaluate the same products
-in ints, on the table of 2x2 minors of the integer normals, and solve them
-for one normal to manufacture on-variety witnesses.
+keep Fraction values; the eight-line scan and the sampler evaluate the same
+products in ints, on the table of 2x2 minors of the integer normals, and
+the sampler solves them for one normal to manufacture on-variety witnesses.
+
+Both scans run on one engine, _scan: relabel, drop what a one-sided
+prefilter rules out (the family equation for the eight-line scan, the rank
+modulo a prime for the audit), and confirm the rest by exact rank.
 """
 
 import collections
@@ -295,7 +299,6 @@ def _wheel_family(name: str, pres: Presentation, lab: WheelLabeling) -> VarietyF
 
 
 def wheel_family(m: int) -> VarietyFamily:
-    half = m // 2
     lab = WheelLabeling(tuple(range(1, m, 2)), tuple(range(2, m + 1, 2)))
     return _wheel_family(f"W{m}", wheel(m), lab)
 
@@ -467,9 +470,41 @@ def _distinct_relabelings(p: Presentation, n: int):
     yield from _relabel_table(p.canonical(), n)
 
 
+def _scan(a: Arrangement, jobs):
+    """Relabel, prefilter, confirm: for each job (name, family, r, keep),
+    rank exactly every distinct image of the family in [a.n] that
+    keep(labels, image), a one-sided test or None, passes; a rank at most r
+    is a hit.  Returns the sorted hits and the number of images walked."""
+    hits = []
+    count = 0
+    for name, family, r, keep in jobs:
+        for labels, image in _distinct_relabelings(family, a.n):
+            count += 1
+            if keep is not None and not keep(labels, image):
+                continue
+            rank = intersection_rank(a, image)
+            if rank <= r:
+                hits.append(ReportHit(name, labels, r, rank))
+    hits.sort(key=lambda h: (h.family, h.labels))
+    return tuple(hits), count
+
+
+def _equation_filter(fam: VarietyFamily, d, p):
+    """Pass the zeros of the family equation, in ints on the minors d."""
+    pos = {i: j for j, i in enumerate(sorted(fam.pres.support))}
+    left = [(pos[i], pos[j]) for i, j in fam.left]
+    right = [(pos[i], pos[j]) for i, j in fam.right]
+
+    def keep(labels, image):
+        value = math.prod([d[labels[i]][labels[j]] for i, j in left]) - \
+            math.prod([d[labels[i]][labels[j]] for i, j in right])
+        return (value if p is None else value % p) == 0
+    return keep
+
+
 def eight_line_report(a: Arrangement) -> EightLineReport:
-    """Scan all relabelings of the five eight-line families, evaluate each
-    family equation, and certify every vanishing instance by its rank.
+    """Scan all relabelings of the five eight-line families and report
+    every instance whose family equation vanishes and whose rank is <= r.
 
     The equations are evaluated in ints on the 2x2 minors of the integer
     normals, computed once; a VarietyFamily's equation keeps its zeros
@@ -480,27 +515,10 @@ def eight_line_report(a: Arrangement) -> EightLineReport:
         raise ValueError("the scan needs a generic arrangement")
     normals, p, _ = integer_form(a.normals)
     d = _pair_minors(normals, p)
-
-    def scan(fam: VarietyFamily):
-        out = []
-        count = 0
-        r = default_r(fam.pres.with_ground(8))
-        pos = {i: j for j, i in enumerate(sorted(fam.pres.support))}
-        left = [(pos[i], pos[j]) for i, j in fam.left]
-        right = [(pos[i], pos[j]) for i, j in fam.right]
-        for labels, image in _distinct_relabelings(fam.pres, 8):
-            count += 1
-            value = _products(lambda i, j: d[labels[i]][labels[j]], left, right)
-            if (value if p is None else value % p) == 0:
-                cert = intersection_rank(a, image)
-                out.append(ReportHit(fam.name, labels, r, cert))
-        return out, count
-
-    results = [scan(fam) for fam in eight_line_families()]
-    hits = sorted((h for out, _ in results for h in out),
-                  key=lambda h: (h.family, h.labels))
-    return EightLineReport(field_name(a), tuple(hits),
-                           sum(c for _, c in results))
+    jobs = [(fam.name, fam.pres, default_r(fam.pres.with_ground(8)),
+             _equation_filter(fam, d, p)) for fam in eight_line_families()]
+    hits, count = _scan(a, jobs)
+    return EightLineReport(field_name(a), hits, count)
 
 
 def _size_multisets(nprime: int, nu: int):
@@ -585,8 +603,9 @@ def _gen_families(nprime: int, sizes: tuple):
     yield from rec([], set(), {}, 0, 0, 0)
 
 
+@functools.lru_cache(maxsize=8)
 def candidate_presentations(n: int, k: int, nprime_max: int,
-                            require_rank_defect_families: bool = True):
+                            require_rank_defect_families: bool = True) -> tuple:
     """Orbit representatives of the families that can witness a rank drop.
 
     Enumerates admissible antichains T with every index of the union in at
@@ -610,20 +629,9 @@ def candidate_presentations(n: int, k: int, nprime_max: int,
                         continue
                     if require_rank_defect_families and check_bba(p).ok:
                         continue
-                    can = orbit_canonical_cached(p)
+                    can = orbit_canonical(p)
                     reps.setdefault(can.canonical(), can)
-    return sorted(reps.values(), key=lambda p: (len(p.members), p.canonical()))
-
-
-@functools.lru_cache(maxsize=65536)
-def _orbit_canonical_from(canonical: tuple, k: int):
-    members = [frozenset(s) for s in canonical]
-    nprime = max((i for m in members for i in m), default=0)
-    return orbit_canonical(Presentation(nprime, k, frozenset(members)))
-
-
-def orbit_canonical_cached(p: Presentation) -> Presentation:
-    return _orbit_canonical_from(p.canonical(), p.k)
+    return tuple(sorted(reps.values(), key=lambda p: (len(p.members), p.canonical())))
 
 
 @dataclass(frozen=True)
@@ -663,6 +671,15 @@ def _rank_mod_p(rows, p: int, r: int | None = None) -> int:
     return len(eliminate(rows, p, limit=r)[1])
 
 
+def _screen_filter(screen: dict | None, r: int):
+    """Pass an instance unless its rank mod DEFAULT_SCREEN_PRIME, at most
+    the rational rank, exceeds r; None when there is no screen."""
+    def keep(labels, image):
+        rows = [row for s in image for row in screen[s]]
+        return _rank_mod_p(rows, DEFAULT_SCREEN_PRIME, r) <= r
+    return None if screen is None else keep
+
+
 def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
     """Test every candidate family instance against the arrangement.
 
@@ -672,32 +689,16 @@ def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
     (their varieties still capture genuine rank defects).  An empty list
     bounds nothing beyond the searched families, and the note says so.
 
-    Rational instances are first screened by rank modulo a large prime
-    (the mod-p rank never exceeds the rational one, so no hit can be
-    lost); every surviving instance is confirmed in exact rationals.
-    The screen's rows are computed once per call, for every index set a
-    candidate member can map to.
+    Over Q the prefilter is the rank modulo a large prime, on rows computed
+    once per call for every index set a candidate member can map to.
     """
     if not is_generic(a):
         raise ValueError("the audit is defined for generic arrangements")
     candidates = candidate_presentations(a.n, a.k, min(nprime_max, a.n), False)
-    screen = None
-    if field_name(a) == "Q":
-        sizes = sorted({len(s) for pres in candidates for s in pres.members})
-        screen = _screen_rows(a, sizes, DEFAULT_SCREEN_PRIME)
-
-    hits = []
-    for pres in candidates:
-        r = expected_rank(pres) - 1
-        name = format_family(pres)
-        for labels, image in _distinct_relabelings(pres, a.n):
-            if screen is not None:
-                rows = [row for s in image for row in screen[s]]
-                if _rank_mod_p(rows, DEFAULT_SCREEN_PRIME, r) > r:
-                    continue
-            cert = intersection_rank(a, image)
-            if cert <= r:
-                hits.append(ReportHit(name, labels, r, cert))
-    hits.sort(key=lambda h: (h.family, h.labels))
-    return AuditReport(field_name(a), nprime_max, tuple(hits),
+    sizes = sorted({len(s) for pres in candidates for s in pres.members})
+    screen = _screen_rows(a, sizes, DEFAULT_SCREEN_PRIME) if field_name(a) == "Q" else None
+    ranks = [expected_rank(pres) - 1 for pres in candidates]
+    hits, _ = _scan(a, [(format_family(pres), pres, r, _screen_filter(screen, r))
+                        for pres, r in zip(candidates, ranks)])
+    return AuditReport(field_name(a), nprime_max, hits,
                        "no hit rules out rank defects only within the searched bound")

@@ -18,12 +18,11 @@ from discrarr.arrangement import (Arrangement, circuits, delete,
 from discrarr.discriminantal import intersection_rank
 from discrarr.linalg import random_invertible
 from discrarr.presentations import (expected_rank, format_family,
-                                    is_admissible, leq, presentation,
-                                    twin_wheel, wheel)
+                                    is_admissible, leq, orbit_canonical,
+                                    presentation, twin_wheel, wheel)
 from discrarr.varieties import (WheelLabeling, audit_arrangement,
                                 candidate_presentations, crapo_poly, default_r,
-                                family_by_name, membership,
-                                orbit_canonical_cached, solve_on_variety,
+                                family_by_name, membership, solve_on_variety,
                                 wheel_poly)
 from .conftest import (TEN_LINE_FAMILY, crapo_arrangement, equation_with,
                        random_admissible_family)
@@ -183,7 +182,7 @@ def test_criterion_7_eight_line_classification():
     t0 = time.time()
     cands = candidate_presentations(8, 2, 8)
     fams = [family_by_name(n) for n in ("W6", "Wd8_4", "W8", "L8", "DW10")]
-    want = sorted(format_family(orbit_canonical_cached(f.pres)) for f in fams)
+    want = sorted(format_family(orbit_canonical(f.pres)) for f in fams)
     got = sorted(format_family(c) for c in cands)
     ok = len(cands) == 5 and got == want
     stated_r = {"W6": 3, "Wd8_4": 4, "W8": 5, "L8": 5, "DW10": 5}

@@ -295,6 +295,24 @@ def test_render_huge_coordinates_exit_code(capsys, tmp_path):
     assert "too large" in err and "JSON:" not in out
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("circuits", "--input", "{a}"),
+    ("classify", "--n", "6"),
+    ("sample", "--n", "6"),
+    ("render", "--input", "{a}"),
+])
+def test_unwritable_output_exit_code(capsys, crapo_files, tmp_path, argv):
+    # each command that honours --output, into a directory that is missing
+    # and into a path that is a directory
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        argv_full = [x.format(a=crapo_files[0]) for x in argv] + ["--output", str(target)]
+        code, out, err = run(capsys, *argv_full)
+        assert code == 2, argv_full
+        assert str(target) in err and "Traceback" not in err
+        assert "JSON:" not in out
+
+
 # Fuzzing the CLI in-process: random JSON for the arrangement and the
 # translation file, mixed with documents shaped like the real formats so
 # that some runs get past parsing.
@@ -334,16 +352,19 @@ family_texts = st.one_of(
 @given(doc=arrangement_docs, tdoc=st.one_of(st.none(), st.none(), translation_docs),
        cmd=st.sampled_from(("circuits", "rank", "membership", "render", "sample")),
        family=family_texts,
-       field=st.sampled_from(("Q", "Fp:7")))
-def test_cli_fuzz_is_total(doc, tdoc, cmd, family, field):
+       field=st.sampled_from(("Q", "Fp:7")),
+       output=st.sampled_from((None, "out.txt", "missing/out.txt", ".")))
+def test_cli_fuzz_is_total(doc, tdoc, cmd, family, field, output):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.json"
         path.write_text(json.dumps(doc))
         argv = [cmd, "--input", str(path), "--field", field]
         if cmd in ("rank", "membership", "sample"):
             argv += [f"--family={family}"]
+        if output is not None:
+            # "missing/..." and "." (the directory itself) cannot be written
+            argv += ["--output", str(Path(tmp) / output)]
         if cmd == "render":
-            argv += ["--output", str(Path(tmp) / "out.svg")]
             if tdoc is not None:
                 tpath = Path(tmp) / "t.json"
                 tpath.write_text(json.dumps(tdoc))

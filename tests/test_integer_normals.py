@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from discrarr.arrangement import (Arrangement, circuits, is_generic, parallel,
                                   random_generic)
-from discrarr.discriminantal import (_dependent, dependency_rows,
-                                     dependency_space, intersection_rank,
-                                     is_circuit)
+from discrarr.discriminantal import (_dependent, circuit_normal,
+                                     dependency_rows, dependency_space,
+                                     intersection_rank, is_circuit)
 from discrarr.linalg import (FpElement, PrimeField, eliminate, integer_form,
                              integer_kernel, maximal_minors, rank)
 from .conftest import (circuits_matrix_oracle, det_oracle,
@@ -115,6 +115,28 @@ def test_cramer_rows_span_the_kernel(prime, data):
         assert rk(local) == rk(kernel) == rk(local + kernel) == len(rows)
 
 
+
+@pytest.mark.parametrize("prime", (None, 7))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_circuit_normal_matches_minor_oracle(prime, data):
+    # a full-size circuit gets its signed cofactor minors, a smaller one the
+    # dependency with 1 at its largest index, all in the arrangement's field
+    a = data.draw(arrangements(prime))
+    field = F if prime is None else FpElement
+    for c in circuits_matrix_oracle(a):
+        c = sorted(c)
+        got = circuit_normal(a, c)
+        assert all(type(x) is field for x in got)
+        assert all(not got[i - 1] for i in range(1, a.n + 1) if i not in c)
+        if len(c) == a.k + 1:
+            for j, i in enumerate(c):
+                assert got[i - 1] == (-1) ** j * det_oracle([a.normal(x) for x in c if x != i])
+        else:
+            assert got[c[-1] - 1] == 1
+            for col in range(a.k):
+                assert not sum(got[i - 1] * a.normal(i)[col] for i in c)
+
 def test_intersection_rank_rejects_bad_indices():
     a = random_generic(6, 2, 1)
     with pytest.raises(IndexError):
@@ -124,9 +146,14 @@ def test_intersection_rank_rejects_bad_indices():
 
 
 def test_dependency_space_prime_field_entries():
-    fp = PrimeField(1299709)
+    # every entry, the zeros off the index set included, is a field element,
+    # and circuit_normal over F_p is the rational one reduced mod p
     a = random_generic(6, 2, 1)
-    b = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
-    basis = dependency_space(b, (1, 2, 3)).basis
-    assert basis and all(type(x) is FpElement for v in basis for x in v)
-    assert basis == tuple(tuple(fp(x) for x in v) for v in basis)
+    for prime in (7, 1299709):
+        fp = PrimeField(prime)
+        b = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
+        vectors = dependency_space(b, (1, 2, 3)).basis + (circuit_normal(b, (1, 2, 3)),)
+        assert all(type(x) is FpElement for v in vectors for x in v)
+        assert vectors == tuple(tuple(fp(x) for x in v) for v in vectors)
+        assert circuit_normal(b, (1, 2, 3)) == \
+            tuple(fp(x) for x in circuit_normal(a, (1, 2, 3)))

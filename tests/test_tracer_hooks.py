@@ -1,0 +1,47 @@
+"""The benchmark's tracer still finds every hook it counts.
+
+perfbench/tracer.py wraps package functions by name, private ones
+included, and reports a hook whose target has gone as absent.  This runs
+both variety scans under the tracer in a fresh interpreter and checks that
+nothing is absent and that the relabel, screen and confirm stages were
+counted.  It reads perfbench/ and changes nothing there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+import discrarr
+import discrarr.varieties as V
+from discrarr.arrangement import from_int_columns
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+tracer.enabled = True
+V.eight_line_report(V.solve_on_variety("W8", 1))
+V.audit_arrangement(from_int_columns(2, [(i - 5, 1) for i in range(1, 10)]), 6)
+print(json.dumps(tracer.snapshot()))
+"""
+
+
+def test_tracer_hooks_are_present(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    snap = json.loads(proc.stdout.splitlines()[-1])
+    assert snap["absent"] == []
+    assert snap["counts"]["varieties.relabel.images"] > 0
+    assert snap["spans"]["varieties.screen_rank"][0] > 0
+    assert snap["spans"]["varieties.confirm"][0] > 0
+    assert snap["counts"]["varieties.confirm.hits"] > 0

@@ -12,8 +12,8 @@ from discrarr.arrangement import (Arrangement, delete, from_int_columns,
 from discrarr.discriminantal import intersection_rank
 from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField, integer_form
 from discrarr.presentations import (expected_rank, format_family, ladder,
-                                    parse_family, presentation, twin_wheel,
-                                    wheel)
+                                    orbit_canonical, parse_family,
+                                    presentation, twin_wheel, wheel)
 from discrarr.varieties import (VarietyFamily, WheelLabeling,
                                 _distinct_relabelings, _pair_minors, _products,
                                 _rank_mod_p, audit_arrangement,
@@ -21,8 +21,8 @@ from discrarr.varieties import (VarietyFamily, WheelLabeling,
                                 default_r, eight_line_families,
                                 eight_line_report, family_by_name, ladder_poly,
                                 membership, merged_wheel_family,
-                                orbit_canonical_cached, solve_on_variety,
-                                wheel_labeling_of, wheel_poly)
+                                solve_on_variety, wheel_labeling_of,
+                                wheel_poly)
 from .conftest import crapo_arrangement, equation_with, rank_oracle
 
 W6_LAB = WheelLabeling((1, 3, 5), (2, 4, 6))
@@ -217,10 +217,10 @@ def test_eight_line_report_generic_empty():
 
 def test_enumerate_candidates_small_unions():
     assert [format_family(c) for c in candidate_presentations(6, 2, 6)] == \
-        [format_family(orbit_canonical_cached(wheel(6)))]
+        [format_family(orbit_canonical(wheel(6)))]
     cands7 = candidate_presentations(7, 2, 7)
     assert len(cands7) == 2
-    assert format_family(orbit_canonical_cached(family_by_name("Wd8_4").pres)) \
+    assert format_family(orbit_canonical(family_by_name("Wd8_4").pres)) \
         in [format_family(c) for c in cands7]
 
 
@@ -233,7 +233,7 @@ def test_audit_crapo():
     assert rep.hits and all(h.rank == 3 and h.r == 3 for h in rep.hits)
     target = frozenset(frozenset(s) for s in W6_FAMILY)
     found = False
-    wclass = orbit_canonical_cached(wheel(6))
+    wclass = orbit_canonical(wheel(6))
     for h in rep.hits:
         support = sorted(wclass.support)
         mapping = dict(zip(support, h.labels))
@@ -410,8 +410,15 @@ def nine_line_grid_relabelled(seed):
     return Arrangement(2, tuple((F(i - 5), F(1)) for i in order))
 
 
+def over_prime(a, p):
+    fp = PrimeField(p)
+    return Arrangement(a.k, tuple(tuple(fp(x) for x in v) for v in a.normals))
+
+
+# over F_p the audit has no screen and ranks every instance exactly
 @pytest.mark.parametrize("a", [nine_line_grid_relabelled(3),
-                               random_generic(9, 2, seed=8)])
+                               random_generic(9, 2, seed=8),
+                               over_prime(nine_line_grid_relabelled(3), 101)])
 def test_screened_audit_equals_exact_scan(a):
     expected = []
     for c in candidate_presentations(9, 2, 6, False):
@@ -438,6 +445,12 @@ MERGED = (WheelLabeling((1, 3, 5, 7), (2, 4, 6, 4)),
 
 def test_family_cache_is_bounded():
     assert family_by_name.cache_info().maxsize is not None
+
+
+def test_candidates_are_built_once():
+    first = candidate_presentations(7, 2, 7)
+    assert type(first) is tuple and candidate_presentations(7, 2, 7) is first
+    assert candidate_presentations.cache_info().maxsize is not None
 
 
 def test_family_equations_are_homogeneous():
@@ -499,3 +512,37 @@ def test_eight_line_zero_test_matches_fraction_poly(prime):
                     continue
                 zero = fam.poly(a, dict(zip(support, labels))) == 0
                 assert zero == ((fam.name, labels) in hits), (fam.name, labels)
+
+
+def generic_eight_over(p, seed):
+    """Eight lines over F_p with pairwise distinct directions: a seeded
+    choice of points of the projective line, each scaled by a unit."""
+    fp = PrimeField(p)
+    rng = random.Random(seed)
+    points = rng.sample([(1, t) for t in range(p)] + [(0, 1)], 8)
+    units = [rng.randint(1, p - 1) for _ in points]
+    return Arrangement(2, tuple((fp(c * x), fp(c * y)) for c, (x, y) in zip(units, points)))
+
+
+@pytest.mark.parametrize("a", [padded_to_eight(solve_on_variety("W6", 5), 5),
+                               generic_eight_over(11, 1), generic_eight_over(13, 1)],
+                         ids=["W6-over-Q", "F11", "F13"])
+def test_eight_line_prefilter_loses_no_hit(a):
+    # every image of W6 and Wd8_4 in [8], ranked exactly, against the scan
+    # that ranks only the zeros of the family equation
+    assert is_generic(a)
+    fams = [family_by_name(name) for name in ("W6", "Wd8_4")]
+    expected = []
+    walked = 0
+    for fam in fams:
+        r = default_r(fam.pres.with_ground(8))
+        for labels, image in reference_relabelings(fam.pres, 8):
+            walked += 1
+            rank = intersection_rank(a, image)
+            if rank <= r:
+                expected.append((fam.name, labels, r, rank))
+    assert walked == 4200
+    got = [(h.family, h.labels, h.r, h.rank) for h in eight_line_report(a).hits
+           if h.family in ("W6", "Wd8_4")]
+    assert got == sorted(expected)
+    assert got
