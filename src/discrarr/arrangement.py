@@ -204,8 +204,10 @@ def random_generic(n: int, k: int, seed: int, height: int = 9,
                    budget: int = 512) -> Arrangement:
     """Seeded generic arrangement with integer entries in [-height, height].
 
-    Deterministic for a fixed seed.  Resamples until generic; raises
-    RetryBudgetExceeded when the budget runs out (height too small).
+    Deterministic for a fixed seed.  Each draw is n integer rows, accepted
+    when every maximal minor is nonzero (with n >= k a zero normal makes
+    one vanish); the Arrangement is built once, for the accepted draw.
+    Raises RetryBudgetExceeded when the budget runs out (height too small).
     """
     if k < 1 or n < k:
         raise ValueError(f"need n >= k >= 1 for an essential sample, got ({n}, {k})")
@@ -213,17 +215,11 @@ def random_generic(n: int, k: int, seed: int, height: int = 9,
         raise ValueError("height must be at least 1")
     rng = random.Random(seed)
     for attempt in range(budget):
-        cols = []
-        for _ in range(n):
-            v = tuple(Fraction(rng.randint(-height, height)) for _ in range(k))
-            cols.append(v)
-        if any(not any(v) for v in cols):
-            continue
-        a = Arrangement(k, tuple(cols))
-        if is_generic(a):
+        rows = [[rng.randint(-height, height) for _ in range(k)] for _ in range(n)]
+        if all(maximal_minors(rows).values()):
             log.debug("random_generic(n=%d, k=%d, seed=%d): %d resamples",
                       n, k, seed, attempt)
-            return a
+            return Arrangement(k, tuple(tuple(map(Fraction, v)) for v in rows))
     raise RetryBudgetExceeded(
         f"no generic sample in {budget} draws (n={n}, k={k}, height={height})")
 

@@ -337,16 +337,18 @@ def _extras_of_cost(p: Presentation, cost: int, bump) -> bool:
 
 def parse_family(text: str, n: int, k: int) -> Presentation:
     """Parse '123,156,246,345' (single-digit indices) or
-    '[1 2 13],[4 5 6]' (bracketed, for ground sets past 9)."""
+    '[1 2 13],[4 5 6]' (bracketed, for ground sets past 9).  Only commas
+    and whitespace may stand outside the bracketed groups."""
     text = text.strip()
     if not text:
         return presentation(n, k, [])
     members = []
     if "[" in text:
-        groups = re.findall(r"\[([^\]]*)\]", text)
-        if not groups:
-            raise ValueError(f"no bracketed groups in {text!r}")
-        for g in groups:
+        for rest in re.split(r"\[[^\]]*\]", text):
+            if not re.fullmatch(r"[\s,]*", rest):
+                raise ValueError(f"unexpected text {rest.strip()!r} outside "
+                                 "bracketed groups")
+        for g in re.findall(r"\[([^\]]*)\]", text):
             idx = [int(t) for t in g.replace(",", " ").split()]
             if not idx:
                 raise ValueError("empty bracketed group")

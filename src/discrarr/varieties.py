@@ -5,9 +5,10 @@ An arrangement belongs to the variety of a family (T, r) when the joint
 dependency span of T has rank at most r.  For wheel- and ladder-shaped
 families of triples in the plane, membership is cut out by a single
 difference of two products of 2x2 determinants.  The public polynomials
-keep Fraction values; the eight-line scan and the sampler evaluate the same
-products in ints, on the table of 2x2 minors of the integer normals, and
-the sampler solves them for one normal to manufacture on-variety witnesses.
+keep Fraction values; the eight-line scan evaluates the same products in
+ints, on the table of 2x2 minors of the integer normals, and the sampler on
+cross products of the integer rows it draws, solving them for one normal to
+manufacture on-variety witnesses.
 
 Both scans run on one engine, _scan: relabel, drop what a one-sided
 prefilter rules out (the family equation for the eight-line scan, the rank
@@ -28,9 +29,9 @@ from .discriminantal import dependency_rows, intersection_rank
 from .linalg import (DEFAULT_SCREEN_PRIME, FpElement, eliminate, integer_form,
                      maximal_minors)
 from .presentations import (Presentation, check_bba, degenerate,
-                            expected_rank, format_family, is_admissible,
-                            ladder, min_expected_rank_above, orbit_canonical,
-                            permute, presentation, wheel)
+                            expected_rank, format_family, ladder,
+                            min_expected_rank_above, orbit_canonical, permute,
+                            presentation, wheel)
 
 
 def field_name(a: Arrangement) -> str:
@@ -357,11 +358,14 @@ def solve_on_variety(family, seed: int, height: int = 9,
                      budget: int = 256) -> Arrangement:
     """Seeded generic arrangement lying exactly on the family's variety.
 
-    Draws every normal but one at random, then solves the family equation
-    for the remaining normal; the equation is linear homogeneous in it.
-    The draws and the solve are in ints; Fractions are built once, for
-    the arrangement.  Rechecks genericity and that the equation vanishes
-    exactly.
+    Draws every normal but one at random, as integer rows, then solves the
+    family equation for the remaining normal; the equation is linear
+    homogeneous in it, and its coefficients are products of cross products
+    of the rows.  A draw is accepted when every 2x2 minor of the rows with
+    the solved normal in place is nonzero: a zero or parallel drawn normal,
+    or a zero solved one, makes a minor vanish.  The Arrangement is built
+    once, for the accepted draw, after rechecking that the equation
+    vanishes exactly.
     """
     if isinstance(family, str):
         family = family_by_name(family)
@@ -371,34 +375,22 @@ def solve_on_variety(family, seed: int, height: int = 9,
     n = family.ground
     rng = random.Random(seed)
 
-    def equation(rows):
-        d = _pair_minors(rows)
-        return _products(lambda i, j: d[i][j], family.left, family.right)
+    def cross(i, j):  # D(i, j) on the rows of the current draw
+        (a, b), (c, d) = rows[i - 1], rows[j - 1]
+        return a * d - b * c
 
     for attempt in range(budget):
         h = height + attempt // 8
-        normals = {}
-        for i in range(1, n + 1):
-            if i == m:
-                continue
-            normals[i] = (rng.randint(-h, h), rng.randint(-h, h))
-        if any(not any(v) for v in normals.values()):
-            continue
-        if not all(maximal_minors(list(normals.values())).values()):
-            continue
-        rows = [normals.get(i) for i in range(1, n + 1)]
-        rows[m - 1] = (1, 0)
-        cx = equation(rows)
+        rows = [(1, 0) if i == m else (rng.randint(-h, h), rng.randint(-h, h))
+                for i in range(1, n + 1)]
+        cx = _products(cross, family.left, family.right)
         rows[m - 1] = (0, 1)
-        cy = equation(rows)
-        if not cx and not cy:
-            continue
+        cy = _products(cross, family.left, family.right)
         rows[m - 1] = (-cy, cx)
-        a = Arrangement(2, tuple(tuple(map(Fraction, v)) for v in rows))
-        if not is_generic(a):
-            continue
-        assert equation(rows) == 0, "solved normal must lie on the variety"
-        return a
+        if all(maximal_minors(rows).values()):
+            assert _products(cross, family.left, family.right) == 0, \
+                "solved normal must lie on the variety"
+            return Arrangement(2, tuple(tuple(map(Fraction, v)) for v in rows))
     raise RetryBudgetExceeded(
         f"no on-variety sample for {family.name} in {budget} draws (seed={seed})")
 
@@ -508,13 +500,13 @@ def eight_line_report(a: Arrangement) -> EightLineReport:
 
     The equations are evaluated in ints on the 2x2 minors of the integer
     normals, computed once; a VarietyFamily's equation keeps its zeros
-    there."""
+    there.  Genericity is read from the same minors."""
     if a.n != 8 or a.k != 2:
         raise ValueError("the scan is defined for 8 lines in the plane")
-    if not is_generic(a):
-        raise ValueError("the scan needs a generic arrangement")
     normals, p, _ = integer_form(a.normals)
     d = _pair_minors(normals, p)
+    if not all(d[i][j] for i, j in itertools.combinations(range(1, 9), 2)):
+        raise ValueError("the scan needs a generic arrangement")
     jobs = [(fam.name, fam.pres, default_r(fam.pres.with_ground(8)),
              _equation_filter(fam, d, p)) for fam in eight_line_families()]
     hits, count = _scan(a, jobs)
@@ -542,6 +534,8 @@ def _size_multisets(nprime: int, nu: int):
 def _gen_families(nprime: int, sizes: tuple):
     """All families on exactly [nprime] with the given member sizes,
     pairwise overlaps of at most one index, every index covered twice.
+    Every size is at least 3, so no member contains another and each
+    family is admissible.
 
     Members are produced in canonical order (sizes ascending, lex within a
     size).  Only relabelings introducing new vertices in consecutive order
@@ -558,8 +552,6 @@ def _gen_families(nprime: int, sizes: tuple):
         deficit = sum(1 for v in ground if deg.get(v, 0) == 1)
         unseen = sum(1 for v in ground if deg.get(v, 0) == 0)
         return deficit + 2 * unseen <= slots_left
-
-    members_sets: list = []
 
     def rec(members, pairs, deg, used_slots, used_count, pos):
         if pos == len(sizes):
@@ -579,9 +571,6 @@ def _gen_families(nprime: int, sizes: tuple):
             cpairs = set(itertools.combinations(comb, 2))
             if cpairs & pairs:
                 continue
-            cset = frozenset(comb)
-            if any(mset <= cset for mset in members_sets):
-                continue
             ndeg = dict(deg)
             okdeg = True
             for v in comb:
@@ -594,16 +583,13 @@ def _gen_families(nprime: int, sizes: tuple):
             if not feasible(ndeg, used_slots + size):
                 continue
             members.append(comb)
-            members_sets.append(cset)
             yield from rec(members, pairs | cpairs, ndeg,
                            used_slots + size, used_count + len(fresh), pos + 1)
             members.pop()
-            members_sets.pop()
 
     yield from rec([], set(), {}, 0, 0, 0)
 
 
-@functools.lru_cache(maxsize=8)
 def candidate_presentations(n: int, k: int, nprime_max: int,
                             require_rank_defect_families: bool = True) -> tuple:
     """Orbit representatives of the families that can witness a rank drop.
@@ -613,11 +599,20 @@ def candidate_presentations(n: int, k: int, nprime_max: int,
     between 2n'/3 and n'-2.  With the flag set (the default), keeps only
     families failing the union-count condition; switching it off retains
     the passing families too, whose varieties need an explicit rank bound.
+
+    n and k are only validated: the classes depend on nprime_max and the
+    flag, and are generated once per pair.
     """
     if k != 2:
         raise ValueError("the classification scan is built for k = 2")
     if n > 9 or nprime_max > n:
         raise ValueError("desk-scale bound: n <= 9 and nprime_max <= n")
+    return _candidates(nprime_max, require_rank_defect_families)
+
+
+@functools.lru_cache(maxsize=8)
+def _candidates(nprime_max: int, require_rank_defect_families: bool) -> tuple:
+    """candidate_presentations for a validated nprime_max."""
     reps = {}
     for nprime in range(4, nprime_max + 1):
         numin = -(-2 * nprime // 3)
@@ -625,8 +620,6 @@ def candidate_presentations(n: int, k: int, nprime_max: int,
             for sizes in _size_multisets(nprime, nu):
                 for members in _gen_families(nprime, sizes):
                     p = presentation(nprime, 2, [frozenset(m) for m in members])
-                    if not is_admissible(p):
-                        continue
                     if require_rank_defect_families and check_bba(p).ok:
                         continue
                     can = orbit_canonical(p)

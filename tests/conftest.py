@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from discrarr.arrangement import Arrangement, from_int_columns
+from discrarr.arrangement import (Arrangement, RetryBudgetExceeded,
+                                  from_int_columns)
 from discrarr.discriminantal import dependency_space
 from discrarr.linalg import Matrix, rank
 
@@ -206,3 +208,59 @@ def random_admissible_family(rng, n, k, max_members=3):
         if members:
             return members
     raise RuntimeError("could not draw a family")
+
+
+# the samplers' draw loops as they were before they decided genericity on
+# the integer rows they draw: Fraction normals, a separate zero-normal test,
+# a pairwise test of the drawn plane normals, the solved normal's own zero
+# test, and a genericity test of the built arrangement.  fired counts each
+# branch that rejects a draw.
+
+def random_generic_oracle(n, k, seed, height, budget, fired):
+    rng = random.Random(seed)
+    for _ in range(budget):
+        cols = [tuple(F(rng.randint(-height, height)) for _ in range(k))
+                for _ in range(n)]
+        if any(not any(v) for v in cols):
+            fired["zero normal"] += 1
+            continue
+        a = Arrangement(k, tuple(cols))
+        if is_generic_matrix_oracle(a):
+            return a
+        fired["not generic"] += 1
+    raise RetryBudgetExceeded(
+        f"no generic sample in {budget} draws (n={n}, k={k}, height={height})")
+
+
+def solve_on_variety_oracle(fam, seed, height, budget, fired):
+    m = fam.solve_index()
+    n = fam.ground
+    rng = random.Random(seed)
+    for attempt in range(budget):
+        h = height + attempt // 8
+        normals = {}
+        for i in range(1, n + 1):
+            if i == m:
+                continue
+            normals[i] = (rng.randint(-h, h), rng.randint(-h, h))
+        if any(not any(v) for v in normals.values()):
+            fired["zero normal"] += 1
+            continue
+        if any(u[0] * v[1] == u[1] * v[0]
+               for u, v in itertools.combinations(normals.values(), 2)):
+            fired["parallel drawn pair"] += 1
+            continue
+        cx = equation_with(fam, normals, m, (1, 0))
+        cy = equation_with(fam, normals, m, (0, 1))
+        if not cx and not cy:
+            fired["zero solved normal"] += 1
+            continue
+        normals[m] = (-cy, cx)
+        a = Arrangement(2, tuple(tuple(map(F, normals[i])) for i in range(1, n + 1)))
+        if not is_generic_matrix_oracle(a):
+            fired["not generic"] += 1
+            continue
+        assert equation_with(fam, normals, m, normals[m]) == 0
+        return a
+    raise RetryBudgetExceeded(
+        f"no on-variety sample for {fam.name} in {budget} draws (seed={seed})")

@@ -94,6 +94,13 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "byte offset" in err
 
 
+def test_truncated_family_exit_code(capsys, crapo_files):
+    p1, _ = crapo_files
+    code, out, err = run(capsys, "rank", "--input", p1, "--family", "[1 2 3],[4 5")
+    assert code == 2
+    assert "outside bracketed groups" in err and "JSON:" not in out
+
+
 def test_missing_input_exit_code(capsys):
     code, _, err = run(capsys, "rank", "--family", "W6")
     assert code == 2

@@ -216,8 +216,17 @@ def test_parse_and_format():
     assert format_family(W6) == "123,156,246,345"
     assert format_family(q) == "[1 2 13],[4 5 6]"
     assert parse_family(format_family(q), 13, 2).members == q.members
+    for text in (" [1 2 13] , [4 5 6] ", "[1 2 13]\t[4 5 6],", "[1,2,13],,[4 5 6]"):
+        assert parse_family(text, 13, 2).members == q.members
     with pytest.raises(ValueError):
         parse_family("12a", 6, 2)
+
+
+@pytest.mark.parametrize("text", ["[1 2 3],[4 5", "[1 2 3] x [4 5 6]",
+                                  "7 [1 2 3]", "[1 2 3]]", "[1 2", "123,[4 5 6]"])
+def test_parse_family_rejects_text_outside_groups(text):
+    with pytest.raises(ValueError):
+        parse_family(text, 13, 2)
 
 
 def test_orbit_canonical():

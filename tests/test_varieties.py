@@ -11,12 +11,14 @@ from discrarr.arrangement import (Arrangement, delete, from_int_columns,
                                   is_generic, pair_det, random_generic, scaled)
 from discrarr.discriminantal import intersection_rank
 from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField, integer_form
-from discrarr.presentations import (expected_rank, format_family, ladder,
-                                    orbit_canonical, parse_family,
-                                    presentation, twin_wheel, wheel)
-from discrarr.varieties import (VarietyFamily, WheelLabeling,
-                                _distinct_relabelings, _pair_minors, _products,
-                                _rank_mod_p, audit_arrangement,
+from discrarr.presentations import (expected_rank, format_family,
+                                    is_admissible, ladder, orbit_canonical,
+                                    parse_family, presentation, twin_wheel,
+                                    wheel)
+from discrarr.varieties import (VarietyFamily, WheelLabeling, _candidates,
+                                _distinct_relabelings, _gen_families,
+                                _pair_minors, _products, _rank_mod_p,
+                                _size_multisets, audit_arrangement,
                                 candidate_presentations, crapo_poly,
                                 default_r, eight_line_families,
                                 eight_line_report, family_by_name, ladder_poly,
@@ -450,7 +452,31 @@ def test_family_cache_is_bounded():
 def test_candidates_are_built_once():
     first = candidate_presentations(7, 2, 7)
     assert type(first) is tuple and candidate_presentations(7, 2, 7) is first
-    assert candidate_presentations.cache_info().maxsize is not None
+    assert _candidates.cache_info().maxsize is not None
+
+
+def test_candidates_depend_only_on_nprime_max_and_flag():
+    first = candidate_presentations(8, 2, 7, False)
+    assert candidate_presentations(9, 2, 7, False) is first
+    assert candidate_presentations(8, 2, 7, require_rank_defect_families=False) is first
+    assert candidate_presentations(9, 2, 7) is candidate_presentations(9, 2, 7, True)
+    with pytest.raises(ValueError):
+        candidate_presentations(6, 2, 7, False)
+    with pytest.raises(ValueError):
+        candidate_presentations(8, 3, 7, False)
+
+
+def test_generated_families_are_admissible():
+    # members have size at least 3 and share no index pair, so the
+    # generator needs no admissibility filter
+    count = 0
+    for nprime in range(4, 9):
+        for nu in range(-(-2 * nprime // 3), nprime - 1):
+            for sizes in _size_multisets(nprime, nu):
+                for members in _gen_families(nprime, sizes):
+                    assert is_admissible(presentation(nprime, 2, members)), members
+                    count += 1
+    assert count == 121
 
 
 def test_family_equations_are_homogeneous():
