@@ -10,11 +10,12 @@ import itertools
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (Matrix, det, dot, eliminate, integer_form, kernel_basis,
-                     maximal_minors, parse_scalar, rref, scalar_str)
+from .linalg import (FpElement, Matrix, det, dot, eliminate, integer_form,
+                     kernel_basis, maximal_minors, parse_scalar, rref,
+                     scalar_str)
 
 log = logging.getLogger(__name__)
 
@@ -25,8 +26,21 @@ class RetryBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Arrangement:
+    """n normal covectors in K^k: K = Q (ints, Fractions) or F_p (FpElements).
+
+    The constructor runs integer_form once and keeps the form every rank
+    test reads: rows (n tuples of ints, each normal scaled by the lcm of its
+    denominators, or residues mod p), p (None over Q) and scales (the row
+    scales, all 1 over F_p).  They take no part in equality, hashing or
+    repr.  An entry it cannot read raises TypeError, mixed prime fields
+    ValueError, and a Fraction whose denominator p divides ZeroDivisionError.
+    """
+
     k: int
     normals: tuple  # tuple of k-tuples of field scalars
+    rows: tuple = field(init=False, compare=False, repr=False)
+    p: int | None = field(init=False, compare=False, repr=False)
+    scales: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -37,6 +51,16 @@ class Arrangement:
                 raise ValueError("normal of wrong length")
             if not any(v):
                 raise ValueError("zero normal covector is not allowed")
+        try:
+            rows, p, scales = integer_form(self.normals)
+        except AttributeError:
+            bad = next(x for v in self.normals for x in v
+                       if not isinstance(x, (int, Fraction, FpElement)))
+            raise TypeError(f"normal entry {bad!r} is not an int, Fraction "
+                            "or FpElement") from None
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "scales", tuple(scales))
 
     @property
     def n(self) -> int:
@@ -44,9 +68,12 @@ class Arrangement:
 
     def normal(self, i: int) -> tuple:
         """The i-th normal, 1-based."""
+        return self.normals[self._index(i)]
+
+    def _index(self, i: int) -> int:  # 0-based position of the index i
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} out of range 1..{self.n}")
-        return self.normals[i - 1]
+        return i - 1
 
     def column_stack(self, indices=None) -> Matrix:
         """k x |indices| matrix whose columns are the chosen normals."""
@@ -56,10 +83,7 @@ class Arrangement:
 
     @property
     def essential(self) -> bool:
-        if self.n == 0:
-            return False
-        rows, p, _ = integer_form(self.normals)
-        return len(eliminate(rows, p)[1]) == self.k
+        return self.n > 0 and _subset_rank(self, range(1, self.n + 1)) == self.k
 
     def to_json_dict(self) -> dict:
         return {"k": self.k,
@@ -95,29 +119,30 @@ def circuits(a: Arrangement) -> frozenset:
     Sizes run from 2 (parallel pairs) to k+1; anything larger contains a
     dependent (k+1)-subset and is therefore never minimal.
     """
-    rows, p, _ = integer_form(a.normals)
     found: list = []
     for size in range(2, min(a.k + 1, a.n) + 1):
-        for comb in itertools.combinations(range(a.n), size):
-            s = frozenset(i + 1 for i in comb)
-            if any(c <= s for c in found):
-                continue
-            if len(eliminate([rows[i] for i in comb], p)[1]) < size:
+        for comb in itertools.combinations(range(1, a.n + 1), size):
+            s = frozenset(comb)
+            if not any(c <= s for c in found) and _subset_rank(a, comb) < size:
                 found.append(s)
     return frozenset(found)
+
+
+def _subset_rank(a: Arrangement, s) -> int:
+    """Rank of the normals indexed by s (1-based), on the integer rows."""
+    return len(eliminate([a.rows[a._index(i)] for i in s], a.p)[1])
 
 
 def is_generic(a: Arrangement) -> bool:
     """True iff every circuit has size exactly k+1.
 
     Equivalently, every subset of min(n, k) normals is independent: with
-    n >= k, every maximal minor is nonzero.  The normals become integer
-    rows once; scaling a normal changes no independence.
+    n >= k, every maximal minor of the integer rows, built once per call,
+    is nonzero; scaling a normal changes no independence.
     """
-    rows, p, _ = integer_form(a.normals)
     if a.n < a.k:
-        return len(eliminate(rows, p)[1]) == a.n
-    return all(maximal_minors(rows, p).values())
+        return _subset_rank(a, range(1, a.n + 1)) == a.n
+    return all(maximal_minors(a.rows, a.p).values())
 
 
 def pair_det(a: Arrangement, i: int, j: int):
@@ -137,15 +162,13 @@ def maximal_minor(a: Arrangement, s):
 
 
 def parallel(a: Arrangement, i: int, j: int) -> bool:
-    rows, p, _ = integer_form([a.normal(i), a.normal(j)])
-    return len(eliminate(rows, p)[1]) <= 1
+    return _subset_rank(a, (i, j)) <= 1
 
 
 def delete(a: Arrangement, i: int) -> Arrangement:
     """Remove the i-th hyperplane; remaining indices close ranks."""
-    if not 1 <= i <= a.n:
-        raise IndexError(f"index {i} out of range 1..{a.n}")
-    return Arrangement(a.k, a.normals[:i - 1] + a.normals[i:])
+    i = a._index(i)
+    return Arrangement(a.k, a.normals[:i] + a.normals[i + 1:])
 
 
 def restrict(a: Arrangement, i: int) -> Arrangement:
@@ -158,8 +181,6 @@ def restrict(a: Arrangement, i: int) -> Arrangement:
     """
     if a.k < 2:
         raise ValueError("cannot restrict a rank-1 arrangement")
-    if not 1 <= i <= a.n:
-        raise IndexError(f"index {i} out of range 1..{a.n}")
     for j in range(1, a.n + 1):
         if j != i and parallel(a, i, j):
             raise ValueError(
@@ -244,8 +265,9 @@ def scaled(a: Arrangement, i: int, c) -> Arrangement:
     """Multiply the i-th normal by a nonzero scalar."""
     if not c:
         raise ValueError("scale factor must be nonzero")
+    i = a._index(i)
     new = list(a.normals)
-    new[i - 1] = tuple(c * x for x in new[i - 1])
+    new[i] = tuple(c * x for x in new[i])
     return Arrangement(a.k, tuple(new))
 
 

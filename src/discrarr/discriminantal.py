@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement
-from .linalg import (Matrix, _scalar, dot, eliminate, integer_form,
-                     integer_kernel, kernel_basis, maximal_minors, parse_scalar,
-                     scalar_str, solve)
+from .arrangement import Arrangement, _subset_rank
+from .linalg import (Matrix, _scalar, dot, eliminate, integer_kernel,
+                     kernel_basis, maximal_minors, parse_scalar, scalar_str,
+                     solve)
 from .presentations import Presentation, presentation
 
 
@@ -41,10 +41,9 @@ def is_circuit(a: Arrangement, c) -> bool:
     c = sorted(set(c))
     if len(c) < 2:
         return False
-    rows, p, _ = integer_form([a.normal(i) for i in c])
-    if len(eliminate(rows, p)[1]) != len(c) - 1:
+    if _subset_rank(a, c) != len(c) - 1:
         return False
-    return all(len(eliminate(rows[:i] + rows[i + 1:], p)[1]) == len(c) - 1
+    return all(_subset_rank(a, c[:i] + c[i + 1:]) == len(c) - 1
                for i in range(len(c)))
 
 
@@ -58,16 +57,16 @@ def circuit_normal(a: Arrangement, c) -> tuple:
     order).  Smaller circuits (parallel classes and the like) get the
     unique dependency normalized to coefficient 1 on the largest index.
     Both are read from the one row dependency_rows gives for the integer
-    normals of c, with their row scales undone.
+    rows of c, with their row scales undone.
     """
     c = sorted(set(c))
     if not is_circuit(a, c):
         raise ValueError(f"{c} is not a circuit")
-    normals, p, scales = integer_form([a.normal(i) for i in c])
-    (row,) = dependency_rows(normals, p, range(1, len(c) + 1), maximal_minors(normals, p))
-    dep = dict(zip(c, (x * s for x, s in zip(row, scales))))
-    den = math.prod(scales) if len(c) == a.k + 1 else dep[c[-1]]
-    return tuple(_scalar(dep.get(i, 0), den, p) for i in range(1, a.n + 1))
+    rows = [a.rows[i - 1] for i in c]
+    (row,) = dependency_rows(rows, a.p, range(1, len(c) + 1), maximal_minors(rows, a.p))
+    dep = {i: x * a.scales[i - 1] for i, x in zip(c, row)}
+    den = math.prod(a.scales[i - 1] for i in c) if len(c) == a.k + 1 else dep[c[-1]]
+    return tuple(_scalar(dep.get(i, 0), den, a.p) for i in range(1, a.n + 1))
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,10 @@ def dependency_rows(normals, p, s, minors) -> list:
     indexed by s (1-based), embedded into Z^n for n normals, or into F_p^n
     as residues.
 
-    normals are an arrangement's normals after integer_form, which scales
-    each normal, and minors is maximal_minors(normals, p).  Scaling normal
-    i by c divides coordinate i of every dependency by c, the same for
-    every index set, so a stack of these rows has the rank of the stacked
+    normals are some or all of an arrangement's rows, which scale each
+    normal, and minors is maximal_minors(normals, p).  Scaling normal i by
+    c divides coordinate i of every dependency by c, the same for every
+    index set, so a stack of these rows has the rank of the stacked
     dependency spaces of the normals.
 
     When the first k indices B of s have a nonzero minor, the rows are
@@ -150,18 +149,17 @@ def intersection_rank(a: Arrangement, t) -> int:
 
     This is the codimension, inside the space of translations, of the set
     of translations keeping every member concurrent.  The empty family has
-    rank 0.  The normals become integer rows and their table of maximal
-    minors once per call.
+    rank 0.  It runs on the arrangement's integer rows, with their table of
+    maximal minors built once per call.
     """
     members = _members_of(t)
-    normals, p, _ = integer_form(a.normals)
-    minors = maximal_minors(normals, p)
+    minors = maximal_minors(a.rows, a.p)
     rows = []
     for s in members:
         if len(s) < 2:
             raise ValueError("family members need at least 2 indices")
-        rows.extend(dependency_rows(normals, p, s, minors))
-    return len(eliminate(rows, p)[1])
+        rows.extend(dependency_rows(a.rows, a.p, s, minors))
+    return len(eliminate(rows, a.p)[1])
 
 
 def has_common_point(a: Arrangement, t, s) -> bool:
@@ -174,8 +172,7 @@ def has_common_point(a: Arrangement, t, s) -> bool:
 
 
 def _dependent(a: Arrangement, s) -> bool:
-    rows, p, _ = integer_form([a.normal(i) for i in s])
-    return len(eliminate(rows, p)[1]) < len(s)
+    return _subset_rank(a, s) < len(s)
 
 
 def canonical_presentation(a: Arrangement, t) -> Presentation:

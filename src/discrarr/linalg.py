@@ -10,17 +10,17 @@ kernel, :func:`eliminate`, which works on rows of Python ints: fraction-
 free Bareiss elimination over Z, or reduction modulo a prime.
 :func:`integer_form` is the one place where rows of scalars become such
 rows (denominators cleared per row over Q, residues over F_p): a
-:class:`Matrix` passes ``m.rows()``, and an arrangement passes its normals
-once and runs every rank test on the result.  :func:`integer_kernel` is
-the one kernel routine; :func:`kernel_basis` is its Fraction/FpElement
-view.  Results are turned back into field elements only at the end, so no
-elimination step does Fraction or FpElement arithmetic.
+:class:`Matrix` passes ``m.rows()``, and an ``Arrangement`` its normals,
+once, in its constructor; every rank test on it reads the result.
+:func:`integer_kernel` is the one kernel routine; :func:`kernel_basis` is
+its Fraction/FpElement view.  Results become field elements only at the
+end, so no elimination step does Fraction or FpElement arithmetic.
 
 :func:`maximal_minors` is the table for rank-2 work: the C(n, k) maximal
 minors (Plücker coordinates) of n integer normals of length k, built once
-per call.  For k = 2 they are the 2x2 determinants D(i, j) that
-genericity, the Cramer dependency rows of triples and every product
-equation of a variety are read from.
+per call from an arrangement's rows.  For k = 2 they are the 2x2
+determinants D(i, j) that genericity, the Cramer dependency rows of
+triples and every product equation of a variety are read from.
 """
 
 import itertools

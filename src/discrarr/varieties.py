@@ -26,8 +26,7 @@ from fractions import Fraction
 from .arrangement import (Arrangement, RetryBudgetExceeded, is_generic,
                           pair_det, parallel)
 from .discriminantal import dependency_rows, intersection_rank
-from .linalg import (DEFAULT_SCREEN_PRIME, FpElement, eliminate, integer_form,
-                     maximal_minors)
+from .linalg import DEFAULT_SCREEN_PRIME, eliminate, maximal_minors
 from .presentations import (Presentation, check_bba, degenerate,
                             expected_rank, format_family, ladder,
                             min_expected_rank_above, orbit_canonical, permute,
@@ -35,11 +34,7 @@ from .presentations import (Presentation, check_bba, degenerate,
 
 
 def field_name(a: Arrangement) -> str:
-    for v in a.normals:
-        for x in v:
-            if isinstance(x, FpElement):
-                return f"F{x.p}"
-    return "Q"
+    return "Q" if a.p is None else f"F{a.p}"
 
 
 @dataclass(frozen=True)
@@ -51,15 +46,10 @@ class MembershipVerdict:
 
 
 @functools.lru_cache(maxsize=4096)
-def _cached_threshold(canonical: tuple, n: int, k: int):
-    members = [frozenset(s) for s in canonical]
-    return min_expected_rank_above(Presentation(n, k, frozenset(members)))
-
-
 def default_r(p: Presentation):
     """The conventional rank bound for a family named without an explicit r:
     one less than the smallest expected rank strictly above it."""
-    m = _cached_threshold(p.canonical(), p.n, p.k)
+    m = min_expected_rank_above(p)
     return None if m is None else m - 1
 
 
@@ -498,17 +488,16 @@ def eight_line_report(a: Arrangement) -> EightLineReport:
     """Scan all relabelings of the five eight-line families and report
     every instance whose family equation vanishes and whose rank is <= r.
 
-    The equations are evaluated in ints on the 2x2 minors of the integer
-    normals, computed once; a VarietyFamily's equation keeps its zeros
-    there.  Genericity is read from the same minors."""
+    The equations are evaluated in ints on the 2x2 minors of the
+    arrangement's integer rows, computed once; a VarietyFamily's equation
+    keeps its zeros there.  Genericity is read from the same minors."""
     if a.n != 8 or a.k != 2:
         raise ValueError("the scan is defined for 8 lines in the plane")
-    normals, p, _ = integer_form(a.normals)
-    d = _pair_minors(normals, p)
+    d = _pair_minors(a.rows, a.p)
     if not all(d[i][j] for i, j in itertools.combinations(range(1, 9), 2)):
         raise ValueError("the scan needs a generic arrangement")
     jobs = [(fam.name, fam.pres, default_r(fam.pres.with_ground(8)),
-             _equation_filter(fam, d, p)) for fam in eight_line_families()]
+             _equation_filter(fam, d, a.p)) for fam in eight_line_families()]
     hits, count = _scan(a, jobs)
     return EightLineReport(field_name(a), hits, count)
 
@@ -646,13 +635,12 @@ def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
 
     Built once per audit and dropped with it.
     """
-    normals, _, _ = integer_form(a.normals)
-    minors = maximal_minors(normals)
+    minors = maximal_minors(a.rows)
     out = {}
     for size in sizes:
         for s in itertools.combinations(range(1, a.n + 1), size):
             out[frozenset(s)] = [tuple(x % p for x in row)
-                                 for row in dependency_rows(normals, None, s, minors)]
+                                 for row in dependency_rows(a.rows, None, s, minors)]
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +9,12 @@ import pytest
 from discrarr.arrangement import (Arrangement, RetryBudgetExceeded, circuits,
                                   delete, from_int_columns, is_generic,
                                   maximal_minor, normal_form, pair_det,
-                                  permuted, random_generic, restrict, scaled)
-from discrarr.discriminantal import intersection_rank
+                                  parallel, permuted, random_generic, restrict,
+                                  scaled)
+from discrarr.discriminantal import (circuit_normal, dependency_space,
+                                     has_common_point, intersection_rank,
+                                     is_circuit)
+from discrarr.linalg import FpElement, PrimeField
 from .conftest import circuits_oracle, det_oracle
 
 
@@ -223,3 +229,58 @@ def test_json_round_trip(crapo, tmp_path):
     assert b.normals == a.normals and b.k == a.k
     raw = json.loads(path.read_text())
     assert raw["normals"][5][0] == "-7/3"
+
+
+def test_integer_rows_are_built_in_the_constructor():
+    a = Arrangement(2, ((F(1, 2), F(1, 3)), (2, F(-3, 4)), (F(4), F(0))))
+    assert a.rows == ((3, 2), (8, -3), (4, 0))
+    assert a.p is None and a.scales == (6, 4, 1)
+    fp = PrimeField(7)
+    b = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
+    assert b.rows == ((4, 5), (2, 1), (4, 0))
+    assert b.p == 7 and b.scales == (1, 1, 1)
+    # derived fields take no part in equality, hashing or repr
+    c = Arrangement(2, ((F(1, 2), F(1, 3)), (F(2), F(-3, 4)), (4, 0)))
+    assert c == a and hash(c) == hash(a)
+    assert repr(a) == f"Arrangement(k=2, normals={a.normals!r})"
+
+
+INDEXED = {
+    "parallel": lambda a, i: parallel(a, i, 1),
+    "pair_det": lambda a, i: pair_det(a, i, 1),
+    "maximal_minor": lambda a, i: maximal_minor(a, {1, i}),
+    "delete": delete,
+    "restrict": restrict,
+    "scaled": lambda a, i: scaled(a, i, 2),
+    "is_circuit": lambda a, i: is_circuit(a, {1, 2, i}),
+    "circuit_normal": lambda a, i: circuit_normal(a, {1, 2, i}),
+    "dependency_space": lambda a, i: dependency_space(a, {1, 2, i}),
+    "has_common_point": lambda a, i: has_common_point(a, (0,) * a.n, {1, 2, i}),
+    "intersection_rank": lambda a, i: intersection_rank(a, [{1, 2, i}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED))
+def test_indices_out_of_range_raise(name):
+    a = random_generic(4, 2, 1)
+    for i in (0, a.n + 1):
+        with pytest.raises(IndexError, match="out of range"):
+            INDEXED[name](a, i)
+
+
+@pytest.mark.parametrize("entry", (0.5, Decimal("0.5"), "1/2"))
+def test_non_exact_entries_fail_at_construction(entry):
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        Arrangement(2, ((entry, 1), (1, 0)))
+    with pytest.raises(TypeError):
+        Arrangement(2, ((FpElement(1, 7), entry), (1, 0)))
+
+
+def test_mixed_prime_fields_fail_at_construction():
+    with pytest.raises(ValueError, match="mixed prime fields"):
+        Arrangement(2, ((FpElement(1, 7), FpElement(2, 11)), (1, 0)))
+
+
+def test_fraction_with_vanishing_denominator_fails_at_construction():
+    with pytest.raises(ZeroDivisionError):
+        Arrangement(2, ((FpElement(1, 7), F(1, 7)), (1, 0)))

@@ -1,9 +1,11 @@
 """Rank tests on integer normals against the Matrix-rank forms they
 replaced (kept in conftest), over Q and F_7."""
 
+import ast
 import itertools
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,3 +159,32 @@ def test_dependency_space_prime_field_entries():
         assert vectors == tuple(tuple(fp(x) for x in v) for v in vectors)
         assert circuit_normal(b, (1, 2, 3)) == \
             tuple(fp(x) for x in circuit_normal(a, (1, 2, 3)))
+
+
+def test_integer_form_has_one_arrangement_call_site():
+    # normals become integer rows in Arrangement.__post_init__ and nowhere
+    # else; linalg's Matrix views are the only other callers
+    src = Path(__file__).resolve().parent.parent / "src" / "discrarr"
+    calls, importers = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and \
+                    any(al.name == "integer_form" for al in node.names):
+                importers.append(path.name)
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", getattr(func, "attr", None))
+            if isinstance(node, ast.Call) and name == "integer_form":
+                where, up = [], node
+                while up in scopes:
+                    up = scopes[up]
+                    if isinstance(up, (ast.ClassDef, ast.FunctionDef)):
+                        where.insert(0, up.name)
+                calls.append((path.name, ".".join(where)))
+    assert importers == ["arrangement.py"]
+    assert [c for c in calls if c[0] != "linalg.py"] == \
+        [("arrangement.py", "Arrangement.__post_init__")]

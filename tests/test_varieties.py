@@ -12,7 +12,8 @@ from discrarr.arrangement import (Arrangement, delete, from_int_columns,
 from discrarr.discriminantal import intersection_rank
 from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField, integer_form
 from discrarr.presentations import (expected_rank, format_family,
-                                    is_admissible, ladder, orbit_canonical,
+                                    is_admissible, ladder,
+                                    min_expected_rank_above, orbit_canonical,
                                     parse_family, presentation, twin_wheel,
                                     wheel)
 from discrarr.varieties import (VarietyFamily, WheelLabeling, _candidates,
@@ -130,6 +131,15 @@ def test_family_presentations():
 def test_default_r_values():
     for name, r in (("W6", 3), ("Wd8_4", 4), ("W8", 5), ("L8", 5), ("DW10", 5)):
         assert default_r(family_by_name(name).pres) == r
+
+
+def test_default_r_is_the_threshold_below_the_next_rank():
+    # default_r is cached on the Presentation itself, with a fixed bound
+    pres = [family_by_name(name).pres for name in SHORTCUTS] + \
+        list(candidate_presentations(8, 2, 8, False))
+    for p in pres:
+        assert default_r(p) == min_expected_rank_above(p) - 1
+    assert default_r.cache_info().maxsize == 4096
 
 
 def test_solve_on_variety_wheels():
