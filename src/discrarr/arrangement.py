@@ -9,13 +9,14 @@ and every operation is a pure function.
 import itertools
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (FpElement, Matrix, det, dot, eliminate, integer_form,
-                     kernel_basis, maximal_minors, parse_scalar, rref,
-                     scalar_str)
+from .linalg import (FpElement, Matrix, _scalar, det, dot, eliminate,
+                     integer_form, kernel_basis, maximal_minors, parse_scalar,
+                     rref, scalar_str)
 
 log = logging.getLogger(__name__)
 
@@ -158,7 +159,8 @@ def maximal_minor(a: Arrangement, s):
     s = sorted(set(s))
     if len(s) != a.k:
         raise ValueError(f"need exactly k = {a.k} distinct indices, got {len(s)}")
-    return det(a.column_stack(s))
+    (m,) = maximal_minors([a.rows[a._index(i)] for i in s], a.p).values()
+    return _scalar(m, math.prod(a.scales[i - 1] for i in s), a.p)
 
 
 def parallel(a: Arrangement, i: int, j: int) -> bool:

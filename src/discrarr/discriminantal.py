@@ -7,7 +7,10 @@ linear subspace of K^n; its orthogonal complement is spanned by the
 linear dependencies among the normals of S, re-embedded into K^n.  Every
 rank computed here is the rank of such a dependency span, which equals
 the codimension of the corresponding intersection in the space of
-translations.
+translations.  A translation enters as the last column of the
+arrangement's cone, whose integer rows the Arrangement constructor
+builds; every decision here runs eliminate on those rows or on the
+arrangement's own.
 """
 
 import itertools
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement, _subset_rank
-from .linalg import (Matrix, _scalar, dot, eliminate, integer_kernel,
-                     kernel_basis, maximal_minors, parse_scalar, scalar_str,
-                     solve)
+from .linalg import (FpElement, _scalar, eliminate, integer_kernel,
+                     maximal_minors, parse_scalar, scalar_str)
 from .presentations import Presentation, presentation
 
 
@@ -79,19 +81,18 @@ def dependency_space(a: Arrangement, s) -> DependencySpace:
     """Basis of the linear dependencies among the normals indexed by s,
     embedded into K^n.  Its dimension is |s| minus the rank of the span.
 
-    Nothing is cached: callers that ask for the same bases many times (the
-    audit's screen) keep them for as long as they need them.
+    It is read from the integer rows of s brought to one common scale,
+    which leaves the kernel unchanged.  Nothing is cached: callers that ask
+    for the same bases many times (the audit's screen) keep them.
     """
     s = tuple(sorted(set(s)))
     if not s:
         raise ValueError("need a nonempty index set")
-    vecs = []
-    for v in kernel_basis(a.column_stack(s)):
-        full = [0 * v[0]] * a.n  # the field's zero, Fraction or FpElement
-        for pos, i in enumerate(s):
-            full[i - 1] = v[pos]
-        vecs.append(tuple(full))
-    return DependencySpace(frozenset(s), tuple(vecs))
+    lcm = math.lcm(*(a.scales[a._index(i)] for i in s))
+    cols = [[x * (lcm // a.scales[i - 1]) for x in a.rows[i - 1]] for i in s]
+    vectors, den = _embedded_kernel(cols, s, a.n, a.p)
+    return DependencySpace(frozenset(s), tuple(
+        tuple(_scalar(x, den, a.p) for x in v) for v in vectors))
 
 
 def _members_of(t) -> list:
@@ -124,8 +125,8 @@ def dependency_rows(normals, p, s, minors) -> list:
         raise IndexError(f"index set {s} out of range 1..{n}")
     k = len(normals[0])
     base = tuple(i - 1 for i in s[:k])
-    out = []
     if len(s) >= k and minors[base]:
+        out = []
         for x in s[k:]:
             c = base + (x - 1,)
             full = [0] * n
@@ -134,14 +135,20 @@ def dependency_rows(normals, p, s, minors) -> list:
                 full[cj] = -v if j % 2 else v
             out.append(full if p is None else [y % p for y in full])
         return out
-    cols = [normals[i - 1] for i in s]
-    vectors, _ = integer_kernel(list(zip(*cols)), len(s), p)
+    return _embedded_kernel([normals[i - 1] for i in s], s, n, p)[0]
+
+
+def _embedded_kernel(cols, s, n, p):
+    """integer_kernel of the integer columns cols, indexed by s (1-based),
+    each vector embedded into n coordinates: (vectors, den)."""
+    vectors, den = integer_kernel(list(zip(*cols)), len(s), p)
+    out = []
     for v in vectors:
         full = [0] * n
         for x, i in zip(v, s):
             full[i - 1] = x
         out.append(full)
-    return out
+    return out, den
 
 
 def intersection_rank(a: Arrangement, t) -> int:
@@ -162,13 +169,26 @@ def intersection_rank(a: Arrangement, t) -> int:
     return len(eliminate(rows, a.p)[1])
 
 
+def translated_cone(a: Arrangement, t) -> Arrangement:
+    """The cone of a translated by t, normal i becoming (a_i | t_i).  A t of
+    the wrong length or field raises ValueError, a non-exact entry TypeError."""
+    t = tuple(t)
+    if len(t) != a.n:
+        raise ValueError("translation length does not match the arrangement")
+    for x in t:
+        if not isinstance(x, (int, Fraction, FpElement)):
+            raise TypeError(f"translation entry {x!r} is not an int, Fraction "
+                            "or FpElement")
+    cone = Arrangement(a.k + 1, tuple(v + (x,) for v, x in zip(a.normals, t)))
+    if cone.p != a.p:
+        raise ValueError("translation and arrangement lie over different fields")
+    return cone
+
+
 def has_common_point(a: Arrangement, t, s) -> bool:
-    """Do the hyperplanes indexed by s still meet after translating by t?"""
-    s = sorted(set(s))
-    if not s:
-        return True
-    m = Matrix.from_rows([a.normal(i) for i in s])
-    return solve(m, [t[i - 1] for i in s]) is not None
+    """Do the hyperplanes indexed by s still meet after translating by t?
+    Exactly when their cone rows have no more rank than their normals."""
+    return _subset_rank(a, s) == _subset_rank(translated_cone(a, t), s)
 
 
 def _dependent(a: Arrangement, s) -> bool:
@@ -181,27 +201,21 @@ def canonical_presentation(a: Arrangement, t) -> Presentation:
 
     Every maximal concurrent set is the full incidence set of the affine
     flat cut out by at most k of its hyperplanes, so it suffices to sweep
-    the flats spanned by small subsets and collect their incidence sets.
-    For a generic arrangement this returns exactly the maximal sets of
-    size at least k+1; with parallel repeats, coincident translates at any
-    size from 2 up qualify as well.
+    the flats of independent b, |b| <= k, and collect their incidence sets:
+    i is incident when its cone row adds no rank to b's.  For a generic
+    arrangement this returns exactly the maximal sets of size at least
+    k+1; with parallel repeats, coincident translates at any size from 2
+    up qualify as well.
     """
     n, k = a.n, a.k
-    t = tuple(t)
-    if len(t) != n:
-        raise ValueError("translation length does not match the arrangement")
+    cone = translated_cone(a, t)
     families = set()
     for size in range(1, min(k, n) + 1):
         for b in itertools.combinations(range(1, n + 1), size):
-            m = Matrix.from_rows([a.normal(i) for i in b])
-            x0 = solve(m, [t[i - 1] for i in b])
-            if x0 is None:
+            if _subset_rank(a, b) < size:
                 continue
-            directions = kernel_basis(m)
-            inc = frozenset(
-                i for i in range(1, n + 1)
-                if dot(a.normal(i), x0) == t[i - 1]
-                and all(not dot(a.normal(i), w) for w in directions))
+            inc = frozenset(i for i in range(1, n + 1)
+                            if _subset_rank(cone, b + (i,)) == size)
             if len(inc) >= 2:
                 families.add(inc)
     maximal = [s for s in families
@@ -224,32 +238,29 @@ def find_representative(a: Arrangement, p: Presentation, seed: int = 0,
     """Search for a translation whose canonical presentation equals p.
 
     Candidates live in the common kernel of all dependency covectors of
-    p's members; random integer combinations of a kernel basis with
-    growing height are tried, starting with the zero translation.  Failure
-    is a budget outcome, not a certificate that no representative exists;
-    the report carries the presentation achieved by the last attempt,
-    which is always above p.
+    p's members (their dependency_rows, row scales undone), which holds the
+    translations through one point and so is never 0; random integer
+    combinations of a kernel basis with growing height are tried, starting
+    with the zero translation.  Failure is a budget outcome, not a
+    certificate that no representative exists; the report carries the
+    presentation achieved by the last attempt, which is always above p.
     """
-    rows = []
-    for s in _members_of(p):
-        rows.extend(dependency_space(a, s).basis)
-    basis = kernel_basis(Matrix.from_rows(rows)) if rows else \
-        [tuple(Fraction(1 if i == j else 0) for i in range(a.n)) for j in range(a.n)]
+    if (p.n, p.k) != (a.n, a.k):
+        raise ValueError(f"presentation on (n, k) = ({p.n}, {p.k}) does not "
+                         f"fit an arrangement with ({a.n}, {a.k})")
+    minors = maximal_minors(a.rows, a.p)
+    rows = [[x * c for x, c in zip(row, a.scales)] for s in _members_of(p)
+            for row in dependency_rows(a.rows, a.p, s, minors)]
+    basis, den = integer_kernel(rows, a.n, a.p)
     rng = random.Random(seed)
     achieved = None
-    zero = tuple(Fraction(0) for _ in range(a.n))
     attempts = 0
     for attempt in range(budget + 1):
         attempts = attempt + 1
-        if attempt == 0:
-            cand = zero
-        elif not basis:
-            break
-        else:
-            height = 4 + 2 * attempt
-            coeffs = [Fraction(rng.randint(-height, height)) for _ in basis]
-            cand = tuple(sum((c * v[i] for c, v in zip(coeffs, basis)),
-                             Fraction(0)) for i in range(a.n))
+        height = 4 + 2 * attempt
+        coeffs = [rng.randint(-height, height) if attempt else 0 for _ in basis]
+        cand = tuple(_scalar(sum(c * v[i] for c, v in zip(coeffs, basis)), den, a.p)
+                     for i in range(a.n))
         achieved = canonical_presentation(a, cand)
         if achieved.members == p.members:
             return RepresentativeResult(True, cand, achieved, attempts, seed)

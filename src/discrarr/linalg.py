@@ -11,7 +11,8 @@ free Bareiss elimination over Z, or reduction modulo a prime.
 :func:`integer_form` is the one place where rows of scalars become such
 rows (denominators cleared per row over Q, residues over F_p): a
 :class:`Matrix` passes ``m.rows()``, and an ``Arrangement`` its normals,
-once, in its constructor; every rank test on it reads the result.
+once, in its constructor; every rank test on it reads the result.  A
+translation t enters as the cone's last column, normals (a_i | t_i).
 :func:`integer_kernel` is the one kernel routine; :func:`kernel_basis` is
 its Fraction/FpElement view.  Results become field elements only at the
 end, so no elimination step does Fraction or FpElement arithmetic.

@@ -5,21 +5,28 @@ fixed-precision decimal at the last moment, so identical inputs give
 byte-identical documents.
 """
 
-import itertools
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .linalg import Matrix, dot, kernel_basis, solve
+from .discriminantal import translated_cone
+from .linalg import _scalar, dot, maximal_minors
 
 
-def _intersections(a: Arrangement, t):
+def _intersections(cone: Arrangement):
+    # Cramer's rule for each non-parallel pair of cone rows u x + v y = w
+    rows, p = cone.rows, cone.p
     pts = []
-    for i, j in itertools.combinations(range(1, a.n + 1), 2):
-        m = Matrix.from_rows([a.normal(i), a.normal(j)])
-        x = solve(m, [t[i - 1], t[j - 1]])
-        if x is not None and not kernel_basis(m):
-            pts.append(tuple(x))
+    for (i, j), d in maximal_minors([r[:2] for r in rows], p).items():
+        if d:
+            (u, v, w), (u2, v2, w2) = rows[i], rows[j]
+            pts.append((_scalar(w * v2 - v * w2, d, p), _scalar(u * w2 - w * u2, d, p)))
     return pts
+
+
+def _concurrent_points(a: Arrangement, t, pts) -> list:
+    """The distinct points of pts that lie on three or more translated lines."""
+    return [p for p in sorted(set(pts))
+            if sum(1 for i in range(1, a.n + 1) if dot(a.normal(i), p) == t[i - 1]) >= 3]
 
 
 def _foot(normal, ti, point):
@@ -69,10 +76,7 @@ def render_svg(a: Arrangement, t=None, width: int = 640, pad=Fraction(1, 5)) -> 
     if t is None:
         t = tuple(Fraction(0) for _ in range(a.n))
     t = tuple(t)
-    if len(t) != a.n:
-        raise ValueError("translation length does not match the arrangement")
-
-    pts = _intersections(a, t)
+    pts = _intersections(translated_cone(a, t))
     anchor = pts[0] if pts else (Fraction(0), Fraction(0))
     boxpts = list(pts)
     for i in range(1, a.n + 1):
@@ -123,13 +127,7 @@ def render_svg(a: Arrangement, t=None, width: int = 640, pad=Fraction(1, 5)) -> 
         ly = (pa[1] * 9 + pb[1]) / 10
         out.append(f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
                    f'fill="#444">H_{i}</text>')
-    marked = []
-    for p in sorted(set(pts)):
-        through = sum(1 for i in range(1, a.n + 1)
-                      if dot(a.normal(i), p) == t[i - 1])
-        if through >= 3:
-            marked.append(p)
-    for p in marked:
+    for p in _concurrent_points(a, t, pts):
         px = to_px(p)
         out.append(f'<circle cx="{_fmt(px[0])}" cy="{_fmt(px[1])}" r="4" '
                    f'fill="crimson"/>')
@@ -139,10 +137,7 @@ def render_svg(a: Arrangement, t=None, width: int = 640, pad=Fraction(1, 5)) -> 
 
 def concurrent_point_count(a: Arrangement, t) -> int:
     """Number of distinct points where three or more translated lines meet."""
-    pts = _intersections(a, t)
-    cnt = 0
-    for p in sorted(set(pts)):
-        if sum(1 for i in range(1, a.n + 1)
-               if dot(a.normal(i), p) == t[i - 1]) >= 3:
-            cnt += 1
-    return cnt
+    if a.k != 2:
+        raise ValueError("can only count crossings of plane arrangements")
+    t = tuple(t)
+    return len(_concurrent_points(a, t, _intersections(translated_cone(a, t))))

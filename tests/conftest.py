@@ -7,8 +7,11 @@ import pytest
 
 from discrarr.arrangement import (Arrangement, RetryBudgetExceeded,
                                   from_int_columns)
-from discrarr.discriminantal import dependency_space
-from discrarr.linalg import Matrix, rank
+from discrarr.discriminantal import (DependencySpace, RepresentativeResult,
+                                     _members_of)
+from discrarr.linalg import (FpElement, Matrix, det, dot, kernel_basis, rank,
+                             solve)
+from discrarr.presentations import presentation
 
 
 def crapo_arrangement(lam) -> Arrangement:
@@ -176,8 +179,89 @@ def circuits_matrix_oracle(a: Arrangement) -> frozenset:
 
 
 def intersection_rank_matrix_oracle(a: Arrangement, family) -> int:
-    rows = [v for s in family for v in dependency_space(a, s).basis]
+    rows = [v for s in family for v in dependency_space_oracle(a, s).basis]
     return rank(Matrix.from_rows(rows)) if rows else 0
+
+
+# the Fraction-Matrix forms of the translation layer and of maximal_minor
+# before a translation entered as the last column of the arrangement's
+# cone: a Matrix, solve and kernel_basis per subset.  find_representative's
+# zero candidate and empty-family basis are the arrangement's field
+# elements here, as they are in the library.
+
+def maximal_minor_oracle(a: Arrangement, s):
+    return det(a.column_stack(sorted(set(s))))
+
+
+def has_common_point_oracle(a: Arrangement, t, s) -> bool:
+    s = sorted(set(s))
+    if not s:
+        return True
+    m = Matrix.from_rows([a.normal(i) for i in s])
+    return solve(m, [t[i - 1] for i in s]) is not None
+
+
+def dependency_space_oracle(a: Arrangement, s) -> DependencySpace:
+    s = tuple(sorted(set(s)))
+    vecs = []
+    for v in kernel_basis(a.column_stack(s)):
+        full = [0 * v[0]] * a.n
+        for pos, i in enumerate(s):
+            full[i - 1] = v[pos]
+        vecs.append(tuple(full))
+    return DependencySpace(frozenset(s), tuple(vecs))
+
+
+def canonical_presentation_oracle(a: Arrangement, t):
+    n, k = a.n, a.k
+    families = set()
+    for size in range(1, min(k, n) + 1):
+        for b in itertools.combinations(range(1, n + 1), size):
+            m = Matrix.from_rows([a.normal(i) for i in b])
+            x0 = solve(m, [t[i - 1] for i in b])
+            if x0 is None:
+                continue
+            directions = kernel_basis(m)
+            inc = frozenset(
+                i for i in range(1, n + 1)
+                if dot(a.normal(i), x0) == t[i - 1]
+                and all(not dot(a.normal(i), w) for w in directions))
+            if len(inc) >= 2:
+                families.add(inc)
+    maximal = [s for s in families
+               if not any(s < other for other in families)]
+    components = [s for s in maximal
+                  if rank(a.column_stack(s)) < len(s)]
+    return presentation(n, k, components)
+
+
+def find_representative_oracle(a: Arrangement, p, seed: int = 0,
+                               budget: int = 64) -> RepresentativeResult:
+    one = F(1) if a.p is None else FpElement(1, a.p)
+    rows = []
+    for s in _members_of(p):
+        rows.extend(dependency_space_oracle(a, s).basis)
+    basis = kernel_basis(Matrix.from_rows(rows)) if rows else \
+        [tuple(one * (i == j) for i in range(a.n)) for j in range(a.n)]
+    rng = random.Random(seed)
+    achieved = None
+    zero = tuple(one * 0 for _ in range(a.n))
+    attempts = 0
+    for attempt in range(budget + 1):
+        attempts = attempt + 1
+        if attempt == 0:
+            cand = zero
+        elif not basis:
+            break
+        else:
+            height = 4 + 2 * attempt
+            coeffs = [F(rng.randint(-height, height)) for _ in basis]
+            cand = tuple(sum((c * v[i] for c, v in zip(coeffs, basis)),
+                             F(0)) for i in range(a.n))
+        achieved = canonical_presentation_oracle(a, cand)
+        if achieved.members == p.members:
+            return RepresentativeResult(True, cand, achieved, attempts, seed)
+    return RepresentativeResult(False, None, achieved, attempts, seed)
 
 
 def equation_with(fam, normals: dict, m: int, vm):

@@ -163,9 +163,18 @@ def test_dependency_space_prime_field_entries():
 
 def test_integer_form_has_one_arrangement_call_site():
     # normals become integer rows in Arrangement.__post_init__ and nowhere
-    # else; linalg's Matrix views are the only other callers
+    # else; linalg's Matrix views are the only other callers.  A translation
+    # enters as the last column of the arrangement's cone, so the translation
+    # layer and the SVG pictures use none of those Matrix views.
     src = Path(__file__).resolve().parent.parent / "src" / "discrarr"
     calls, importers = [], []
+    matrix_views = {"Matrix", "solve", "kernel_basis", "det"}
+    for name in ("discriminantal.py", "svg.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        used = {al.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for al in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not used & (matrix_views | {"column_stack"}), name
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scopes = {}
