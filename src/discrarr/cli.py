@@ -19,8 +19,9 @@ from .presentations import (Presentation, SearchBudgetExceeded, check_bba,
                             degenerate, expected_rank, format_family,
                             parse_family)
 from .svg import render_svg
-from .varieties import (candidate_presentations, family_by_name, field_name,
-                        membership, solve_on_variety)
+from .varieties import (audit_arrangement, candidate_presentations,
+                        family_by_name, field_name, membership,
+                        solve_on_variety)
 
 FAMILY_SHORTCUTS = ("W6", "W8", "W10", "Wd8_4", "L8", "DW10")
 
@@ -133,6 +134,24 @@ def cmd_classify(args, out):
     out.json({"command": "classify", "n": n, "nprime_max": nprime,
               "classes": [{"family": [list(s) for s in c.canonical()],
                            "nu": expected_rank(c)} for c in cands]})
+    return 0
+
+
+def cmd_audit(args, out):
+    a = _load_input(args.input, args.field)
+    if args.nprime_max is None:
+        raise _CliError("--nprime-max is required")
+    if a.k != 2 or a.n > 9:
+        raise _CliError(f"audit needs at most 9 lines in the plane (k = 2), "
+                        f"got n = {a.n}, k = {a.k}")
+    rep = audit_arrangement(a, args.nprime_max)
+    out.human(f"{len(rep.hits)} hit(s) on up to {rep.nprime_max} indices, "
+              f"field {rep.field}:")
+    for h in rep.hits:
+        out.human(f"  {h.family}  labels {' '.join(map(str, h.labels))}  "
+                  f"rank {h.rank} <= r={h.r}")
+    out.human(rep.note)
+    out.json({"command": "audit", **rep.to_json_dict()})
     return 0
 
 
@@ -260,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("circuits", cmd_circuits), ("rank", cmd_rank),
                      ("bba", cmd_bba), ("membership", cmd_membership),
-                     ("classify", cmd_classify), ("degenerate", cmd_degenerate),
+                     ("classify", cmd_classify), ("audit", cmd_audit),
+                     ("degenerate", cmd_degenerate),
                      ("sample", cmd_sample), ("render", cmd_render)):
         p = sub.add_parser(name)
         common(p)

@@ -12,6 +12,14 @@ from .discriminantal import translated_cone
 from .linalg import _scalar, dot, maximal_minors
 
 
+def _check_drawable(a: Arrangement, what: str) -> None:
+    if a.k != 2:
+        raise ValueError(f"can only {what} plane arrangements")
+    if a.p is not None:
+        raise ValueError(f"can only {what} arrangements over Q: a picture "
+                         f"needs rational coordinates, not F_{a.p}")
+
+
 def _intersections(cone: Arrangement):
     # Cramer's rule for each non-parallel pair of cone rows u x + v y = w
     rows, p = cone.rows, cone.p
@@ -69,10 +77,10 @@ def render_svg(a: Arrangement, t=None, width: int = 640, pad=Fraction(1, 5)) -> 
     The viewport is the bounding box of all pairwise intersection points,
     padded by `pad` on each side; lines with no finite crossing are pulled
     in through their closest point, so nothing is dropped.  Points lying
-    on three or more lines are marked.
+    on three or more lines are marked.  Raises ValueError unless a is a
+    plane arrangement over Q.
     """
-    if a.k != 2:
-        raise ValueError("can only draw plane arrangements")
+    _check_drawable(a, "draw")
     if t is None:
         t = tuple(Fraction(0) for _ in range(a.n))
     t = tuple(t)
@@ -136,8 +144,8 @@ def render_svg(a: Arrangement, t=None, width: int = 640, pad=Fraction(1, 5)) -> 
 
 
 def concurrent_point_count(a: Arrangement, t) -> int:
-    """Number of distinct points where three or more translated lines meet."""
-    if a.k != 2:
-        raise ValueError("can only count crossings of plane arrangements")
+    """Number of distinct points where three or more translated lines meet.
+    Raises ValueError unless a is a plane arrangement over Q."""
+    _check_drawable(a, "count crossings of")
     t = tuple(t)
     return len(_concurrent_points(a, t, _intersections(translated_cone(a, t))))

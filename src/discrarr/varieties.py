@@ -11,8 +11,11 @@ cross products of the integer rows it draws, solving them for one normal to
 manufacture on-variety witnesses.
 
 Both scans run on one engine, _scan: relabel, drop what a one-sided
-prefilter rules out (the family equation for the eight-line scan, the rank
-modulo a prime for the audit), and confirm the rest by exact rank.
+prefilter rules out, and confirm the rest by exact rank.  The prefilter of
+the eight-line scan, and of every wheel-shaped class of the audit, is the
+family's product equation, evaluated by one evaluator in ints on one table
+of 2x2 minors per call, over Q and over F_p; the audit's other classes use
+the rank modulo DEFAULT_SCREEN_PRIME, over Q only.
 """
 
 import collections
@@ -23,8 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import (Arrangement, RetryBudgetExceeded, is_generic,
-                          pair_det, parallel)
+from .arrangement import Arrangement, RetryBudgetExceeded, pair_det, parallel
 from .discriminantal import dependency_rows, intersection_rank
 from .linalg import DEFAULT_SCREEN_PRIME, eliminate, maximal_minors
 from .presentations import (Presentation, check_bba, degenerate,
@@ -96,12 +98,12 @@ def _products(minor, left, right):
             - math.prod(minor(i, j) for i, j in right))
 
 
-def _pair_minors(rows, p=None) -> list:
-    """The 2x2 minors of the integer rows as a nested list d with
-    d[i][j] = D(i, j) for 1-based i, j: D(j, i) = -D(i, j), D(i, i) = 0."""
-    n = len(rows)
+def _pair_minors(minors, n: int) -> list:
+    """The table minors = maximal_minors(rows, p) of n integer rows in the
+    plane as a nested list d with d[i][j] = D(i, j) for 1-based i, j:
+    D(j, i) = -D(i, j), D(i, i) = 0."""
     d = [[0] * (n + 1) for _ in range(n + 1)]
-    for (i, j), v in maximal_minors(rows, p).items():
+    for (i, j), v in minors.items():
         d[i + 1][j + 1] = v
         d[j + 1][i + 1] = -v
     return d
@@ -493,9 +495,10 @@ def eight_line_report(a: Arrangement) -> EightLineReport:
     keeps its zeros there.  Genericity is read from the same minors."""
     if a.n != 8 or a.k != 2:
         raise ValueError("the scan is defined for 8 lines in the plane")
-    d = _pair_minors(a.rows, a.p)
-    if not all(d[i][j] for i, j in itertools.combinations(range(1, 9), 2)):
+    minors = maximal_minors(a.rows, a.p)
+    if not all(minors.values()):
         raise ValueError("the scan needs a generic arrangement")
+    d = _pair_minors(minors, a.n)
     jobs = [(fam.name, fam.pres, default_r(fam.pres.with_ground(8)),
              _equation_filter(fam, d, a.p)) for fam in eight_line_families()]
     hits, count = _scan(a, jobs)
@@ -629,13 +632,13 @@ class AuditReport:
                 "note": self.note}
 
 
-def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
+def _screen_rows(a: Arrangement, sizes, p: int, minors) -> dict:
     """Every index set of [n] with a size in sizes, mapped to its integer
-    dependency rows (the ones intersection_rank stacks), reduced mod p.
+    dependency rows (the ones intersection_rank stacks), reduced mod p;
+    minors is maximal_minors(a.rows).
 
     Built once per audit and dropped with it.
     """
-    minors = maximal_minors(a.rows)
     out = {}
     for size in sizes:
         for s in itertools.combinations(range(1, a.n + 1), size):
@@ -670,16 +673,33 @@ def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
     (their varieties still capture genuine rank defects).  An empty list
     bounds nothing beyond the searched families, and the note says so.
 
-    Over Q the prefilter is the rank modulo a large prime, on rows computed
-    once per call for every index set a candidate member can map to.
+    One table of 2x2 minors of the integer rows is built per call; it
+    decides genericity and feeds both prefilters.  A wheel-shaped class
+    (wheel_labeling_of finds a labelling) passes the zeros of its wheel
+    equation, evaluated in ints on the table, over Q and over F_p: on a
+    generic arrangement the instance loses rank exactly when the equation
+    vanishes.  Over Q every other class passes unless its rank modulo
+    DEFAULT_SCREEN_PRIME exceeds the bound, on dependency rows built for
+    the member sizes of those classes only; over F_p they have no
+    prefilter.  Every instance that passes is ranked exactly.
     """
-    if not is_generic(a):
+    minors = maximal_minors(a.rows, a.p)
+    if not all(minors.values()):
         raise ValueError("the audit is defined for generic arrangements")
     candidates = candidate_presentations(a.n, a.k, min(nprime_max, a.n), False)
-    sizes = sorted({len(s) for pres in candidates for s in pres.members})
-    screen = _screen_rows(a, sizes, DEFAULT_SCREEN_PRIME) if field_name(a) == "Q" else None
-    ranks = [expected_rank(pres) - 1 for pres in candidates]
-    hits, _ = _scan(a, [(format_family(pres), pres, r, _screen_filter(screen, r))
-                        for pres, r in zip(candidates, ranks)])
+    d = _pair_minors(minors, a.n)
+    labs = [wheel_labeling_of(pres) for pres in candidates]
+    sizes = sorted({len(s) for pres, lab in zip(candidates, labs) if lab is None
+                    for s in pres.members})
+    screen = None
+    if sizes and a.p is None:
+        screen = _screen_rows(a, sizes, DEFAULT_SCREEN_PRIME, minors)
+    jobs = []
+    for pres, lab in zip(candidates, labs):
+        name, r = format_family(pres), expected_rank(pres) - 1
+        keep = _screen_filter(screen, r) if lab is None else \
+            _equation_filter(_wheel_family(name, pres, lab), d, a.p)
+        jobs.append((name, pres, r, keep))
+    hits, _ = _scan(a, jobs)
     return AuditReport(field_name(a), nprime_max, hits,
                        "no hit rules out rank defects only within the searched bound")

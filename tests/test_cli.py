@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discrarr.arrangement import save_arrangement
+from discrarr.arrangement import Arrangement, random_generic, save_arrangement
 from discrarr.cli import main
+from discrarr.linalg import PrimeField
 from discrarr.svg import concurrent_point_count, render_svg
+from discrarr.varieties import audit_arrangement
 from .conftest import crapo_arrangement
 
 
@@ -180,6 +182,30 @@ def test_classify_command(capsys):
     assert len(doc["classes"]) == 1 and doc["classes"][0]["nu"] == 4
 
 
+def test_audit_command(capsys, tmp_path):
+    a = random_generic(9, 2, 5)
+    path = tmp_path / "a.json"
+    save_arrangement(a, str(path))
+    code, out, _ = run(capsys, "audit", "--input", str(path), "--nprime-max", "6",
+                       "--json")
+    assert code == 0
+    doc = json_doc(out)
+    assert doc.pop("command") == "audit" and doc.pop("config")["nprime_max"] == 6
+    assert doc == audit_arrangement(a, 6).to_json_dict() and doc["hits"]
+
+
+@pytest.mark.parametrize("normals, extra", [
+    ([[1, 0], [2, 0], [1, 1], [0, 1]], ["--nprime-max", "6"]),  # not generic
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], ["--nprime-max", "6"]),
+    ([[1, i] for i in range(10)], ["--nprime-max", "6"]),
+    ([[1, i] for i in range(6)], [])])
+def test_audit_usage_exit_code(capsys, tmp_path, normals, extra):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"k": len(normals[0]), "normals": normals}))
+    code, out, err = run(capsys, "audit", "--input", str(path), *extra)
+    assert code == 2 and err.startswith("error: ") and "JSON:" not in out
+
+
 def test_render_command(capsys, crapo_files, tmp_path):
     p1, _ = crapo_files
     tfile = tmp_path / "t.json"
@@ -231,6 +257,16 @@ def test_svg_deterministic_and_marks():
     assert concurrent_point_count(a, zero) == 1
     doc0 = render_svg(a, zero)
     assert doc0.count("crimson") == 1 and doc0.count("<line") == 6
+
+
+def test_svg_over_prime_field_raises_value_error():
+    a = random_generic(5, 2, 1)
+    fp = PrimeField(7)
+    b = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
+    with pytest.raises(ValueError, match="rational coordinates"):
+        render_svg(b)
+    with pytest.raises(ValueError, match="rational coordinates"):
+        concurrent_point_count(b, tuple(fp(0) for _ in range(5)))
 
 
 def test_svg_parallel_lines_not_dropped():
@@ -357,17 +393,21 @@ family_texts = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(doc=arrangement_docs, tdoc=st.one_of(st.none(), st.none(), translation_docs),
-       cmd=st.sampled_from(("circuits", "rank", "membership", "render", "sample")),
+       cmd=st.sampled_from(("circuits", "rank", "membership", "render", "sample",
+                            "audit")),
        family=family_texts,
        field=st.sampled_from(("Q", "Fp:7")),
-       output=st.sampled_from((None, "out.txt", "missing/out.txt", ".")))
-def test_cli_fuzz_is_total(doc, tdoc, cmd, family, field, output):
+       output=st.sampled_from((None, "out.txt", "missing/out.txt", ".")),
+       nprime=st.one_of(st.none(), st.integers(-1, 6)))
+def test_cli_fuzz_is_total(doc, tdoc, cmd, family, field, output, nprime):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.json"
         path.write_text(json.dumps(doc))
         argv = [cmd, "--input", str(path), "--field", field]
         if cmd in ("rank", "membership", "sample"):
             argv += [f"--family={family}"]
+        if cmd == "audit" and nprime is not None:
+            argv += ["--nprime-max", str(nprime)]
         if output is not None:
             # "missing/..." and "." (the directory itself) cannot be written
             argv += ["--output", str(Path(tmp) / output)]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -9,16 +10,18 @@ from hypothesis import strategies as st
 
 from discrarr.arrangement import (Arrangement, delete, from_int_columns,
                                   is_generic, pair_det, random_generic, scaled)
-from discrarr.discriminantal import intersection_rank
-from discrarr.linalg import DEFAULT_SCREEN_PRIME, PrimeField, integer_form
+from discrarr.discriminantal import dependency_rows, intersection_rank
+from discrarr.linalg import (DEFAULT_SCREEN_PRIME, PrimeField, eliminate,
+                             integer_form, maximal_minors)
 from discrarr.presentations import (expected_rank, format_family,
                                     is_admissible, ladder,
                                     min_expected_rank_above, orbit_canonical,
                                     parse_family, presentation, twin_wheel,
                                     wheel)
 from discrarr.varieties import (VarietyFamily, WheelLabeling, _candidates,
-                                _distinct_relabelings, _gen_families,
-                                _pair_minors, _products, _rank_mod_p,
+                                _distinct_relabelings, _equation_filter,
+                                _gen_families, _pair_minors, _products,
+                                _rank_mod_p, _wheel_family,
                                 _size_multisets, audit_arrangement,
                                 candidate_presentations, crapo_poly,
                                 default_r, eight_line_families,
@@ -427,19 +430,34 @@ def over_prime(a, p):
     return Arrangement(a.k, tuple(tuple(fp(x) for x in v) for v in a.normals))
 
 
-# over F_p the audit has no screen and ranks every instance exactly
-@pytest.mark.parametrize("a", [nine_line_grid_relabelled(3),
-                               random_generic(9, 2, seed=8),
-                               over_prime(nine_line_grid_relabelled(3), 101)])
-def test_screened_audit_equals_exact_scan(a):
+def generic_over(p, seed, n=8):
+    """n lines over F_p with pairwise distinct directions: a seeded
+    choice of points of the projective line, each scaled by a unit."""
+    fp = PrimeField(p)
+    rng = random.Random(seed)
+    points = rng.sample([(1, t) for t in range(p)] + [(0, 1)], n)
+    units = [rng.randint(1, p - 1) for _ in points]
+    return Arrangement(2, tuple((fp(c * x), fp(c * y)) for c, (x, y) in zip(units, points)))
+
+
+# every class at n' <= 7 is wheel-shaped, so the audit filters by its
+# equation, over Q and over F_p, and ranks what passes exactly
+@pytest.mark.parametrize("a, nprime_max", [
+    (nine_line_grid_relabelled(3), 6), (random_generic(9, 2, seed=8), 6),
+    (over_prime(nine_line_grid_relabelled(3), 101), 6),
+    (generic_over(11, 5, 9), 6), (generic_over(7, 2, 7), 7),
+    (random_generic(9, 2, seed=5), 7)],
+    ids=["a0", "a1", "a2", "F11", "F7", "Q7"])
+def test_screened_audit_equals_exact_scan(a, nprime_max):
     expected = []
-    for c in candidate_presentations(9, 2, 6, False):
+    for c in candidate_presentations(a.n, 2, nprime_max, False):
         r = expected_rank(c) - 1
-        for labels, image in reference_relabelings(c, 9):
+        for labels, image in reference_relabelings(c, a.n):
             rank = intersection_rank(a, image)
             if rank <= r:
                 expected.append((format_family(c), labels, r, rank))
-    got = [(h.family, h.labels, h.r, h.rank) for h in audit_arrangement(a, 6).hits]
+    got = [(h.family, h.labels, h.r, h.rank)
+           for h in audit_arrangement(a, nprime_max).hits]
     assert got == sorted(expected)
 
 
@@ -513,17 +531,19 @@ def test_integer_products_scale_the_fraction_value():
                 a = scaled(a, i, F(rng.choice((-1, 1)) * rng.randint(1, 9),
                                    rng.randint(1, 9)))
             normals, _, scales = integer_form(a.normals)
-            d = _pair_minors(normals)
+            d = _pair_minors(maximal_minors(normals), len(normals))
             value = _products(lambda i, j: d[i][j], fam.left, fam.right)
             degree = math.prod(scales[i - 1] for pair in fam.left for i in pair)
             assert value == fam.poly(a) * degree
             assert (value == 0) == on
 
 
-def padded_to_eight(a, seed):
+def padded(a, seed, n=8):
+    """a with seeded integer normals appended until there are n, every
+    pair of normals independent."""
     rng = random.Random(seed)
     normals = list(a.normals)
-    while len(normals) < 8:
+    while len(normals) < n:
         v = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
         if any(v) and all(u[0] * v[1] - u[1] * v[0] for u in normals):
             normals.append(v)
@@ -535,7 +555,7 @@ def test_eight_line_zero_test_matches_fraction_poly(prime):
     # the old zero test, fam.poly(a, mapping) == 0 in Fractions, against
     # the scan's integer test on every 48th labelling and on every hit
     samples = [solve_on_variety(name, 5) for name in ("W8", "L8", "DW10")]
-    samples += [padded_to_eight(solve_on_variety("W6", 5), 5), random_generic(8, 2, 5)]
+    samples += [padded(solve_on_variety("W6", 5), 5), random_generic(8, 2, 5)]
     for a in samples:
         if prime is not None:
             fp = PrimeField(prime)
@@ -550,18 +570,8 @@ def test_eight_line_zero_test_matches_fraction_poly(prime):
                 assert zero == ((fam.name, labels) in hits), (fam.name, labels)
 
 
-def generic_eight_over(p, seed):
-    """Eight lines over F_p with pairwise distinct directions: a seeded
-    choice of points of the projective line, each scaled by a unit."""
-    fp = PrimeField(p)
-    rng = random.Random(seed)
-    points = rng.sample([(1, t) for t in range(p)] + [(0, 1)], 8)
-    units = [rng.randint(1, p - 1) for _ in points]
-    return Arrangement(2, tuple((fp(c * x), fp(c * y)) for c, (x, y) in zip(units, points)))
-
-
-@pytest.mark.parametrize("a", [padded_to_eight(solve_on_variety("W6", 5), 5),
-                               generic_eight_over(11, 1), generic_eight_over(13, 1)],
+@pytest.mark.parametrize("a", [padded(solve_on_variety("W6", 5), 5),
+                               generic_over(11, 1), generic_over(13, 1)],
                          ids=["W6-over-Q", "F11", "F13"])
 def test_eight_line_prefilter_loses_no_hit(a):
     # every image of W6 and Wd8_4 in [8], ranked exactly, against the scan
@@ -582,3 +592,71 @@ def test_eight_line_prefilter_loses_no_hit(a):
            if h.family in ("W6", "Wd8_4")]
     assert got == sorted(expected)
     assert got
+
+
+def wheel_classes():
+    """(class, wheel labelling) for every wheel-shaped class at n' <= 8."""
+    return [(c, lab) for c in candidate_presentations(9, 2, 8, False)
+            if (lab := wheel_labeling_of(c)) is not None]
+
+
+def planted_nine(index):
+    """A nine-line sample on the variety of the index-th wheel class."""
+    c, lab = wheel_classes()[index]
+    return padded(solve_on_variety(_wheel_family(format_family(c), c, lab), 2), 2, 9)
+
+
+# a planted sample is checked on its own class only
+WHEEL_INPUTS = {"grid": lambda: from_int_columns(2, [(i - 5, 1) for i in range(1, 10)]),
+                "random-h3": lambda: random_generic(9, 2, 4, height=3),
+                **{f"planted-{i}": functools.partial(planted_nine, i) for i in range(4)},
+                "F7": lambda: generic_over(7, 3, 7),
+                "F11": lambda: generic_over(11, 3, 9)}
+
+
+def member_rows_ranker(a):
+    """intersection_rank(a, image) with the dependency rows of each member
+    set built once: the same rows and elimination, shared across images."""
+    minors = maximal_minors(a.rows, a.p)
+    cache = {}
+
+    def rank(image):
+        rows = []
+        for s in image:
+            if s not in cache:
+                cache[s] = dependency_rows(a.rows, a.p, s, minors)
+            rows += cache[s]
+        return len(eliminate(rows, a.p)[1])
+    return rank, minors
+
+
+@pytest.mark.parametrize("case", WHEEL_INPUTS)
+def test_wheel_equation_is_exact(case):
+    # the audit's equation filter passes an image exactly when its exact
+    # rank drops: every image at n' <= 7, every 7th at n' = 8; the shared
+    # rows are checked against intersection_rank on every passed image and
+    # every 50th other one
+    a = WHEEL_INPUTS[case]()
+    assert is_generic(a)
+    rank, minors = member_rows_ranker(a)
+    d = _pair_minors(minors, a.n)
+    classes = wheel_classes()
+    if case.startswith("planted-"):
+        classes = [classes[int(case[8:])]]
+    walked = drops = 0
+    for c, lab in classes:
+        if len(c.support) > a.n:
+            continue
+        r = expected_rank(c) - 1
+        keep = _equation_filter(_wheel_family(format_family(c), c, lab), d, a.p)
+        stride = 7 if len(c.support) == 8 else 1
+        for t, (labels, image) in enumerate(_distinct_relabelings(c, a.n)):
+            if t % stride:
+                continue
+            walked += 1
+            got, passed = rank(image), keep(labels, image)
+            if passed or walked % 50 == 0:
+                assert got == intersection_rank(a, image)
+            drops += got <= r
+            assert passed == (got <= r), (format_family(c), labels)
+    assert walked and (drops or case == "random-h3")
