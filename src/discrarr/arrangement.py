@@ -6,6 +6,7 @@ throughout, so the ground set is {1, .., n}.  All values are immutable
 and every operation is a pure function.
 """
 
+import functools
 import itertools
 import json
 import logging
@@ -33,7 +34,9 @@ class Arrangement:
     test reads: rows (n tuples of ints, each normal scaled by the lcm of its
     denominators, or residues mod p), p (None over Q) and scales (the row
     scales, all 1 over F_p).  They take no part in equality, hashing or
-    repr.  An entry it cannot read raises TypeError, mixed prime fields
+    repr, and neither does _minors, their table maximal_minors(rows, p),
+    built on first use and shared by every reader; none may mutate it.
+    An entry it cannot read raises TypeError, mixed prime fields
     ValueError, and a Fraction whose denominator p divides ZeroDivisionError.
     """
 
@@ -66,6 +69,10 @@ class Arrangement:
     @property
     def n(self) -> int:
         return len(self.normals)
+
+    @functools.cached_property
+    def _minors(self) -> dict:
+        return maximal_minors(self.rows, self.p)
 
     def normal(self, i: int) -> tuple:
         """The i-th normal, 1-based."""
@@ -138,12 +145,13 @@ def is_generic(a: Arrangement) -> bool:
     """True iff every circuit has size exactly k+1.
 
     Equivalently, every subset of min(n, k) normals is independent: with
-    n >= k, every maximal minor of the integer rows, built once per call,
-    is nonzero; scaling a normal changes no independence.
+    n >= k, every maximal minor of the integer rows, read from the
+    arrangement's table, is nonzero; scaling a normal changes no
+    independence.
     """
     if a.n < a.k:
         return _subset_rank(a, range(1, a.n + 1)) == a.n
-    return all(maximal_minors(a.rows, a.p).values())
+    return all(a._minors.values())
 
 
 def pair_det(a: Arrangement, i: int, j: int):

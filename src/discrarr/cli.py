@@ -20,8 +20,8 @@ from .presentations import (Presentation, SearchBudgetExceeded, check_bba,
                             parse_family)
 from .svg import render_svg
 from .varieties import (audit_arrangement, candidate_presentations,
-                        family_by_name, field_name, membership,
-                        solve_on_variety)
+                        eight_line_report, family_by_name, field_name,
+                        membership, solve_on_variety)
 
 FAMILY_SHORTCUTS = ("W6", "W8", "W10", "Wd8_4", "L8", "DW10")
 
@@ -155,6 +155,21 @@ def cmd_audit(args, out):
     return 0
 
 
+def cmd_scan8(args, out):
+    a = _load_input(args.input, args.field)
+    if a.k != 2 or a.n != 8:
+        raise _CliError(f"scan8 needs 8 lines in the plane (k = 2), "
+                        f"got n = {a.n}, k = {a.k}")
+    rep = eight_line_report(a)
+    out.human(f"{len(rep.hits)} hit(s) in {rep.instances_scanned} instances, "
+              f"field {rep.field}:")
+    for h in rep.hits:
+        out.human(f"  {h.family}  labels {' '.join(map(str, h.labels))}  "
+                  f"rank {h.rank} <= r={h.r}")
+    out.json({"command": "scan8", **rep.to_json_dict()})
+    return 0
+
+
 def cmd_degenerate(args, out):
     if args.family is None or args.frm is None or args.to is None:
         raise _CliError("--family, --from and --to are required")
@@ -280,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("circuits", cmd_circuits), ("rank", cmd_rank),
                      ("bba", cmd_bba), ("membership", cmd_membership),
                      ("classify", cmd_classify), ("audit", cmd_audit),
+                     ("scan8", cmd_scan8),
                      ("degenerate", cmd_degenerate),
                      ("sample", cmd_sample), ("render", cmd_render)):
         p = sub.add_parser(name)

@@ -156,16 +156,15 @@ def intersection_rank(a: Arrangement, t) -> int:
 
     This is the codimension, inside the space of translations, of the set
     of translations keeping every member concurrent.  The empty family has
-    rank 0.  It runs on the arrangement's integer rows, with their table of
-    maximal minors built once per call.
+    rank 0.  It runs on the arrangement's integer rows and reads their
+    table of maximal minors, which the arrangement builds once.
     """
     members = _members_of(t)
-    minors = maximal_minors(a.rows, a.p)
     rows = []
     for s in members:
         if len(s) < 2:
             raise ValueError("family members need at least 2 indices")
-        rows.extend(dependency_rows(a.rows, a.p, s, minors))
+        rows.extend(dependency_rows(a.rows, a.p, s, a._minors))
     return len(eliminate(rows, a.p)[1])
 
 
@@ -248,9 +247,8 @@ def find_representative(a: Arrangement, p: Presentation, seed: int = 0,
     if (p.n, p.k) != (a.n, a.k):
         raise ValueError(f"presentation on (n, k) = ({p.n}, {p.k}) does not "
                          f"fit an arrangement with ({a.n}, {a.k})")
-    minors = maximal_minors(a.rows, a.p)
     rows = [[x * c for x, c in zip(row, a.scales)] for s in _members_of(p)
-            for row in dependency_rows(a.rows, a.p, s, minors)]
+            for row in dependency_rows(a.rows, a.p, s, a._minors)]
     basis, den = integer_kernel(rows, a.n, a.p)
     rng = random.Random(seed)
     achieved = None

@@ -11,11 +11,17 @@ cross products of the integer rows it draws, solving them for one normal to
 manufacture on-variety witnesses.
 
 Both scans run on one engine, _scan: relabel, drop what a one-sided
-prefilter rules out, and confirm the rest by exact rank.  The prefilter of
-the eight-line scan, and of every wheel-shaped class of the audit, is the
-family's product equation, evaluated by one evaluator in ints on one table
-of 2x2 minors per call, over Q and over F_p; the audit's other classes use
-the rank modulo DEFAULT_SCREEN_PRIME, over Q only.
+prefilter rules out, and confirm the rest by exact rank.  Images are
+streamed, never stored: for each family, one table cached per family holds
+the first permutation of its support giving each distinct image, and the
+scan walks every order-preserving embedding of the support into [n] with
+every such permutation, building one block of 2x2 minors per embedding.
+The prefilter of the eight-line scan, and of every wheel-shaped class of
+the audit, is the family's product equation, evaluated in ints on that
+block through factor positions precomputed per permutation, over Q and
+over F_p; the audit's other classes use the rank modulo DEFAULT_SCREEN_PRIME
+over Q, and the rank over F_p itself over F_p.  Labels and member sets are
+built only for the images a prefilter passes.
 """
 
 import collections
@@ -25,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .arrangement import Arrangement, RetryBudgetExceeded, pair_det, parallel
 from .discriminantal import dependency_rows, intersection_rank
@@ -411,77 +418,99 @@ class EightLineReport:
                 "hits": [h.to_json_dict() for h in self.hits]}
 
 
-@functools.lru_cache(maxsize=8)
-def _relabel_table(canonical: tuple, n: int) -> tuple:
-    """(labels, image) for every distinct image in [n] of the family with
-    the given canonical members, sorted by labels.
+@functools.cache
+def _support_images(canonical: tuple) -> tuple:
+    """(local, perms) for the family with the given canonical members.
 
-    An image uses exactly as many indices as the family's support, m, so it
-    is an image on [m] carried into [n] by one of the C(n, m)
-    order-preserving embeddings.  Only the m! permutations of the support
-    are enumerated, and an embedding keeps the lexicographically first
-    labels of an image first.  Images are tuples of shared member sets, to
-    keep tables small; maxsize bounds how many tables a process keeps.
+    local lists each member as positions 0..m-1 in the family's support of
+    m indices, sorted; perms holds, for each distinct image of the family
+    on those positions, the first permutation of range(m) in itertools
+    order that gives it, as bytes (a third of a tuple's size: a nine-index
+    class has up to 9! of them).  The table does not depend on the ground
+    set.  Its callers ask for the five eight-line families and the audit's
+    candidate classes, a fixed set, so it is kept for the process.
     """
     support = sorted({i for s in canonical for i in s})
     pos = {i: j for j, i in enumerate(support)}
-    local = [[pos[i] for i in s] for s in canonical]
+    local = tuple(tuple(pos[i] for i in s) for s in canonical)
     first = {}  # image on positions 0..m-1, as member bitmasks -> first permutation
     for perm in itertools.permutations(range(len(support))):
         key = tuple(sorted(sum(1 << perm[j] for j in s) for s in local))
-        first.setdefault(key, perm)
-    members = {}
-    table = []
-    for emb in itertools.combinations(range(1, n + 1), len(support)):
-        for perm in first.values():
-            labels = tuple(emb[j] for j in perm)
-            image = tuple(members.setdefault(m, m) for m in
-                          (frozenset(labels[j] for j in s) for s in local))
-            table.append((labels, image))
-    table.sort(key=lambda e: e[0])
-    return tuple(table)
+        if key not in first:
+            first[key] = bytes(perm)
+    return local, tuple(first.values())
 
 
 def _distinct_relabelings(p: Presentation, n: int):
-    """Yield (labels, image) once per distinct image of p in [n], in
-    increasing order of labels.
+    """One (emb, t) per distinct image of p in [n], embedding-major.
 
-    labels[j] is where the j-th smallest index of p's support goes, the
-    lexicographically first labelling giving the image; image[i] is the
-    image of the i-th of p's canonical members.  The table behind it is
-    built on first use for each (family, n) and kept for the process.
+    An image uses exactly as many indices as p's support, m, so it is an
+    image on [m] carried into [n] by one of the C(n, m) order-preserving
+    embeddings emb.  With (local, perms) = _support_images(p.canonical()),
+    t indexes the permutation perms[t] giving it, and its labels are
+    labels[j] = emb[perms[t][j]]: where the j-th smallest index of p's
+    support goes, the lexicographically first labelling of the image.
+    Image i of p's canonical members is {labels[j] for j in local[i]}.
+    Nothing is built per image.
     """
-    yield from _relabel_table(p.canonical(), n)
+    perms = _support_images(p.canonical())[1]
+    return itertools.product(itertools.combinations(range(1, n + 1), len(perms[0])),
+                             range(len(perms)))
 
 
 def _scan(a: Arrangement, jobs):
     """Relabel, prefilter, confirm: for each job (name, family, r, keep),
-    rank exactly every distinct image of the family in [a.n] that
-    keep(labels, image), a one-sided test or None, passes; a rank at most r
-    is a hit.  Returns the sorted hits and the number of images walked."""
+    walk the distinct images (emb, t) of the family in [a.n] from
+    _distinct_relabelings.  Each embedding gets one block of 2x2 minors,
+    block[u * m + v] = D(emb[u], emb[v]); keep(block, emb, t), a one-sided
+    test, drops an image, and only an image it passes gets its labels and
+    member sets, and is ranked exactly; a rank at most r is a hit.  Returns
+    the hits sorted by (family, labels), which hides the walk order, and
+    the number of images walked."""
+    d = _pair_minors(a._minors, a.n)
     hits = []
     count = 0
     for name, family, r, keep in jobs:
-        for labels, image in _distinct_relabelings(family, a.n):
+        local, perms = _support_images(family.canonical())
+        last = None
+        for emb, t in _distinct_relabelings(family, a.n):
             count += 1
-            if keep is not None and not keep(labels, image):
+            if emb is not last:
+                last = emb
+                block = [d[i][j] for i in emb for j in emb]
+            if not keep(block, emb, t):
                 continue
-            rank = intersection_rank(a, image)
+            labels = tuple(emb[j] for j in perms[t])
+            rank = intersection_rank(a, [frozenset(labels[j] for j in s) for s in local])
             if rank <= r:
                 hits.append(ReportHit(name, labels, r, rank))
     hits.sort(key=lambda h: (h.family, h.labels))
     return tuple(hits), count
 
 
-def _equation_filter(fam: VarietyFamily, d, p):
-    """Pass the zeros of the family equation, in ints on the minors d."""
-    pos = {i: j for j, i in enumerate(sorted(fam.pres.support))}
-    left = [(pos[i], pos[j]) for i, j in fam.left]
-    right = [(pos[i], pos[j]) for i, j in fam.right]
+@functools.cache
+def _factor_getters(fam: VarietyFamily) -> tuple:
+    """For each permutation perms[t] of the family's _support_images, two
+    itemgetters that pick the left and the right factors of its equation
+    from a block of minors.  Like the images table, it is kept per family:
+    for the eight-line families, building it costs as much as a scan."""
+    support = sorted(fam.pres.support)
+    m = len(support)
+    pos = {i: j for j, i in enumerate(support)}
+    left, right = ([(pos[i], pos[j]) for i, j in side] for side in (fam.left, fam.right))
+    return tuple((itemgetter(*[perm[i] * m + perm[j] for i, j in left]),
+                  itemgetter(*[perm[i] * m + perm[j] for i, j in right]))
+                 for perm in _support_images(fam.pres.canonical())[1])
 
-    def keep(labels, image):
-        value = math.prod([d[labels[i]][labels[j]] for i, j in left]) - \
-            math.prod([d[labels[i]][labels[j]] for i, j in right])
+
+def _equation_filter(fam: VarietyFamily, p):
+    """Pass the zeros of the family equation, in ints on a block of minors,
+    or mod p over F_p, through the family's _factor_getters."""
+    getters = _factor_getters(fam)
+
+    def keep(block, emb, t):
+        left, right = getters[t]
+        value = math.prod(left(block)) - math.prod(right(block))
         return (value if p is None else value % p) == 0
     return keep
 
@@ -490,17 +519,15 @@ def eight_line_report(a: Arrangement) -> EightLineReport:
     """Scan all relabelings of the five eight-line families and report
     every instance whose family equation vanishes and whose rank is <= r.
 
-    The equations are evaluated in ints on the 2x2 minors of the
-    arrangement's integer rows, computed once; a VarietyFamily's equation
-    keeps its zeros there.  Genericity is read from the same minors."""
+    The equations are evaluated in ints on the arrangement's table of 2x2
+    minors of its integer rows, built once; a VarietyFamily's equation
+    keeps its zeros there.  Genericity is read from the same table."""
     if a.n != 8 or a.k != 2:
         raise ValueError("the scan is defined for 8 lines in the plane")
-    minors = maximal_minors(a.rows, a.p)
-    if not all(minors.values()):
+    if not all(a._minors.values()):
         raise ValueError("the scan needs a generic arrangement")
-    d = _pair_minors(minors, a.n)
     jobs = [(fam.name, fam.pres, default_r(fam.pres.with_ground(8)),
-             _equation_filter(fam, d, a.p)) for fam in eight_line_families()]
+             _equation_filter(fam, a.p)) for fam in eight_line_families()]
     hits, count = _scan(a, jobs)
     return EightLineReport(field_name(a), hits, count)
 
@@ -632,10 +659,9 @@ class AuditReport:
                 "note": self.note}
 
 
-def _screen_rows(a: Arrangement, sizes, p: int, minors) -> dict:
+def _screen_rows(a: Arrangement, sizes, p: int) -> dict:
     """Every index set of [n] with a size in sizes, mapped to its integer
-    dependency rows (the ones intersection_rank stacks), reduced mod p;
-    minors is maximal_minors(a.rows).
+    dependency rows (the ones intersection_rank stacks), reduced mod p.
 
     Built once per audit and dropped with it.
     """
@@ -643,7 +669,7 @@ def _screen_rows(a: Arrangement, sizes, p: int, minors) -> dict:
     for size in sizes:
         for s in itertools.combinations(range(1, a.n + 1), size):
             out[frozenset(s)] = [tuple(x % p for x in row)
-                                 for row in dependency_rows(a.rows, None, s, minors)]
+                                 for row in dependency_rows(a.rows, a.p, s, a._minors)]
     return out
 
 
@@ -655,13 +681,19 @@ def _rank_mod_p(rows, p: int, r: int | None = None) -> int:
     return len(eliminate(rows, p, limit=r)[1])
 
 
-def _screen_filter(screen: dict | None, r: int):
-    """Pass an instance unless its rank mod DEFAULT_SCREEN_PRIME, at most
-    the rational rank, exceeds r; None when there is no screen."""
-    def keep(labels, image):
-        rows = [row for s in image for row in screen[s]]
-        return _rank_mod_p(rows, DEFAULT_SCREEN_PRIME, r) <= r
-    return None if screen is None else keep
+def _screen_filter(screen: dict, q: int, pres: Presentation, r: int):
+    """Pass an image of pres unless its rank mod the prime q, which is at
+    most its rank over the arrangement's field, exceeds r; screen is
+    _screen_rows(a, sizes, q).  The member sets come from the labels of
+    (emb, t), through one itemgetter per member built here."""
+    local, perms = _support_images(pres.canonical())
+    members = [itemgetter(*s) for s in local]
+
+    def keep(block, emb, t):
+        labels = [emb[j] for j in perms[t]]
+        rows = [row for g in members for row in screen[frozenset(g(labels))]]
+        return _rank_mod_p(rows, q, r) <= r
+    return keep
 
 
 def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
@@ -673,32 +705,31 @@ def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
     (their varieties still capture genuine rank defects).  An empty list
     bounds nothing beyond the searched families, and the note says so.
 
-    One table of 2x2 minors of the integer rows is built per call; it
-    decides genericity and feeds both prefilters.  A wheel-shaped class
-    (wheel_labeling_of finds a labelling) passes the zeros of its wheel
-    equation, evaluated in ints on the table, over Q and over F_p: on a
-    generic arrangement the instance loses rank exactly when the equation
-    vanishes.  Over Q every other class passes unless its rank modulo
-    DEFAULT_SCREEN_PRIME exceeds the bound, on dependency rows built for
-    the member sizes of those classes only; over F_p they have no
-    prefilter.  Every instance that passes is ranked exactly.
+    The arrangement's table of 2x2 minors of its integer rows decides
+    genericity and feeds both prefilters, which _scan applies to the
+    images it streams.  A wheel-shaped class (wheel_labeling_of finds a
+    labelling) passes the zeros of its wheel equation, evaluated in ints
+    on the minors, over Q and over F_p: on a generic arrangement the
+    instance loses rank exactly when the equation vanishes.  Every other
+    class passes unless its rank modulo a prime exceeds the bound:
+    DEFAULT_SCREEN_PRIME over Q, a one-sided screen, and p itself over
+    F_p, where the rank is exact.  Its dependency rows are built mod that
+    prime once per call, for the member sizes of those classes only.
+    Every instance that passes is ranked exactly by intersection_rank.
     """
-    minors = maximal_minors(a.rows, a.p)
-    if not all(minors.values()):
+    if not all(a._minors.values()):
         raise ValueError("the audit is defined for generic arrangements")
     candidates = candidate_presentations(a.n, a.k, min(nprime_max, a.n), False)
-    d = _pair_minors(minors, a.n)
     labs = [wheel_labeling_of(pres) for pres in candidates]
     sizes = sorted({len(s) for pres, lab in zip(candidates, labs) if lab is None
                     for s in pres.members})
-    screen = None
-    if sizes and a.p is None:
-        screen = _screen_rows(a, sizes, DEFAULT_SCREEN_PRIME, minors)
+    q = DEFAULT_SCREEN_PRIME if a.p is None else a.p
+    screen = _screen_rows(a, sizes, q)
     jobs = []
     for pres, lab in zip(candidates, labs):
         name, r = format_family(pres), expected_rank(pres) - 1
-        keep = _screen_filter(screen, r) if lab is None else \
-            _equation_filter(_wheel_family(name, pres, lab), d, a.p)
+        keep = _screen_filter(screen, q, pres, r) if lab is None else \
+            _equation_filter(_wheel_family(name, pres, lab), a.p)
         jobs.append((name, pres, r, keep))
     hits, _ = _scan(a, jobs)
     return AuditReport(field_name(a), nprime_max, hits,

@@ -14,7 +14,7 @@ from discrarr.arrangement import (Arrangement, RetryBudgetExceeded, circuits,
 from discrarr.discriminantal import (circuit_normal, dependency_space,
                                      has_common_point, intersection_rank,
                                      is_circuit)
-from discrarr.linalg import FpElement, PrimeField
+from discrarr.linalg import FpElement, PrimeField, maximal_minors
 from .conftest import circuits_oracle, det_oracle
 
 
@@ -239,9 +239,12 @@ def test_integer_rows_are_built_in_the_constructor():
     b = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
     assert b.rows == ((4, 5), (2, 1), (4, 0))
     assert b.p == 7 and b.scales == (1, 1, 1)
-    # derived fields take no part in equality, hashing or repr
+    # derived fields take no part in equality, hashing or repr, and neither
+    # does the table of maximal minors, built once on first use
+    assert is_generic(a) and a._minors is a._minors
+    assert a._minors == maximal_minors(a.rows)
     c = Arrangement(2, ((F(1, 2), F(1, 3)), (F(2), F(-3, 4)), (4, 0)))
-    assert c == a and hash(c) == hash(a)
+    assert "_minors" not in vars(c) and c == a and hash(c) == hash(a)
     assert repr(a) == f"Arrangement(k=2, normals={a.normals!r})"
 
 

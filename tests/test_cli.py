@@ -206,6 +206,42 @@ def test_audit_usage_exit_code(capsys, tmp_path, normals, extra):
     assert code == 2 and err.startswith("error: ") and "JSON:" not in out
 
 
+W8_SAMPLE = {"k": 2, "normals": [["4", "-9"], ["5", "-1"], ["-2", "9"], ["-6", "1"],
+                                 ["-9", "-9"], ["-9", "8"], ["-9", "3"],
+                                 ["-3423384", "2075733"]]}
+
+
+def test_scan8_command(capsys, tmp_path):
+    # golden output on the seed-1 sample of the W8 variety
+    path = tmp_path / "w8.json"
+    path.write_text(json.dumps(W8_SAMPLE))
+    code, out, _ = run(capsys, "scan8", "--input", str(path))
+    assert code == 0
+    assert "2 hit(s) in 32760 instances, field Q:" in out
+    assert "  W8  labels 2 1 8 7 6 5 4 3  rank 5 <= r=5" in out
+    doc = json_doc(out)
+    assert doc.pop("config") == {"cmd": "scan8", "field": "Q", "height": 9,
+                                 "input": str(path), "k": 2, "seed": 0}
+    assert doc == {"command": "scan8", "arrangement": None, "field": "Q",
+                   "instances_scanned": 32760,
+                   "hits": [{"family": "W8", "labels": [1, 2, 3, 4, 5, 6, 7, 8],
+                             "r": 5, "rank": 5},
+                            {"family": "W8", "labels": [2, 1, 8, 7, 6, 5, 4, 3],
+                             "r": 5, "rank": 5}]}
+
+
+@pytest.mark.parametrize("normals, field", [
+    ([[1, i] for i in range(9)], "Q"),  # nine lines
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]] * 2, "Q"),  # k = 3
+    ([[1, i] for i in range(7)] + [[2, 0]], "Q"),  # lines 1 and 8 parallel
+    (W8_SAMPLE["normals"], "Fp:7")])  # not generic mod 7
+def test_scan8_usage_exit_code(capsys, tmp_path, normals, field):
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"k": len(normals[0]), "normals": normals}))
+    code, out, err = run(capsys, "scan8", "--input", str(path), "--field", field)
+    assert code == 2 and err.startswith("error: ") and "JSON:" not in out
+
+
 def test_render_command(capsys, crapo_files, tmp_path):
     p1, _ = crapo_files
     tfile = tmp_path / "t.json"
@@ -377,7 +413,7 @@ arrangement_docs = st.one_of(
     st.sampled_from((2, 2, 3)).flatmap(lambda k: st.fixed_dictionaries({
         "k": st.just(k),
         "normals": st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
-                            min_size=5, max_size=7)})))
+                            min_size=5, max_size=8)})))
 translation_docs = st.one_of(
     json_values, st.fixed_dictionaries({"t": st.lists(json_scalars, max_size=7)}),
     st.fixed_dictionaries({"t": st.lists(st.integers(-3, 3), min_size=6, max_size=6)}))
@@ -394,7 +430,7 @@ family_texts = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(doc=arrangement_docs, tdoc=st.one_of(st.none(), st.none(), translation_docs),
        cmd=st.sampled_from(("circuits", "rank", "membership", "render", "sample",
-                            "audit")),
+                            "audit", "scan8")),
        family=family_texts,
        field=st.sampled_from(("Q", "Fp:7")),
        output=st.sampled_from((None, "out.txt", "missing/out.txt", ".")),

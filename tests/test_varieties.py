@@ -20,9 +20,10 @@ from discrarr.presentations import (expected_rank, format_family,
                                     wheel)
 from discrarr.varieties import (VarietyFamily, WheelLabeling, _candidates,
                                 _distinct_relabelings, _equation_filter,
-                                _gen_families, _pair_minors, _products,
-                                _rank_mod_p, _wheel_family,
-                                _size_multisets, audit_arrangement,
+                                _factor_getters, _gen_families, _pair_minors,
+                                _products, _rank_mod_p, _support_images,
+                                _wheel_family, _size_multisets,
+                                audit_arrangement,
                                 candidate_presentations, crapo_poly,
                                 default_r, eight_line_families,
                                 eight_line_report, family_by_name, ladder_poly,
@@ -375,6 +376,15 @@ def test_nine_line_wheel_equations(nine_line):
         assert wheel_poly(nine_line, lab, plain=False) == 0
 
 
+def labelled(p, n):
+    """(labels, image) for each (emb, t) of _distinct_relabelings(p, n):
+    labels[j] = emb[perms[t][j]], image in p's canonical member order."""
+    local, perms = _support_images(p.canonical())
+    for emb, t in _distinct_relabelings(p, n):
+        labels = tuple(emb[j] for j in perms[t])
+        yield labels, tuple(frozenset(labels[j] for j in s) for s in local)
+
+
 def reference_relabelings(p, n):
     """(labels, image) per distinct image of p in [n], lexicographically
     first labels, by enumerating every injective map of the support."""
@@ -393,10 +403,13 @@ def reference_relabelings(p, n):
     (family_by_name("W6").pres.with_ground(8), 8),
     (family_by_name("Wd8_4").pres.with_ground(8), 8),
     (parse_family("123,145,246,356", 9, 2), 9),
+    (parse_family("123,145,167,246,357", 9, 2), 9),
 ])
 def test_relabel_table_matches_full_enumeration(p, n):
-    got = list(_distinct_relabelings(p, n))
-    assert [(labels, frozenset(image)) for labels, image in got] == \
+    # the walk is embedding-major, so only the set of (labels, image) is
+    # compared: one entry per image, with its lexicographically first labels
+    got = list(labelled(p, n))
+    assert sorted((labels, frozenset(image)) for labels, image in got) == \
         list(reference_relabelings(p, n))
     for labels, image in got:
         mapping = dict(zip(sorted(p.support), labels))
@@ -446,8 +459,8 @@ def generic_over(p, seed, n=8):
     (nine_line_grid_relabelled(3), 6), (random_generic(9, 2, seed=8), 6),
     (over_prime(nine_line_grid_relabelled(3), 101), 6),
     (generic_over(11, 5, 9), 6), (generic_over(7, 2, 7), 7),
-    (random_generic(9, 2, seed=5), 7)],
-    ids=["a0", "a1", "a2", "F11", "F7", "Q7"])
+    (random_generic(9, 2, seed=5), 7), (generic_over(13, 6), 8)],
+    ids=["a0", "a1", "a2", "F11", "F7", "Q7", "F13-8"])
 def test_screened_audit_equals_exact_scan(a, nprime_max):
     expected = []
     for c in candidate_presentations(a.n, 2, nprime_max, False):
@@ -465,6 +478,28 @@ def test_grid_audit_work_counts(nine_line):
     classes = candidate_presentations(9, 2, 7, False)
     assert sum(1 for c in classes for _ in _distinct_relabelings(c, 9)) == 17640
     assert len(audit_arrangement(nine_line, 7).hits) == 139
+
+
+def test_tables_are_kept_per_family():
+    # after one eight-line scan and one audit at n' <= 7, whose classes are
+    # all wheel-shaped, each table holds exactly the families scanned, and
+    # neither scan touched the arrangement's table of minors
+    _support_images.cache_clear()
+    _factor_getters.cache_clear()
+    a, b = random_generic(8, 2, 13), random_generic(9, 2, 5)
+    eight_line_report(a)
+    audit_arrangement(b, 7)
+    classes = candidate_presentations(9, 2, 7, False)
+    expected = {f.pres.canonical() for f in eight_line_families()} | \
+        {c.canonical() for c in classes}
+    info = _support_images.cache_info()
+    assert info.currsize == len(expected) == 7
+    for key in expected:
+        _support_images(key)
+    assert _support_images.cache_info().hits == info.hits + len(expected)
+    assert _factor_getters.cache_info().currsize == len(expected)
+    for x in (a, b):
+        assert x._minors == maximal_minors(x.rows)
 
 
 SHORTCUTS = ("W6", "W8", "W10", "Wd8_4", "L8", "DW10")
@@ -563,7 +598,7 @@ def test_eight_line_zero_test_matches_fraction_poly(prime):
         hits = {(h.family, h.labels) for h in eight_line_report(a).hits}
         for fam in eight_line_families():
             support = sorted(fam.pres.support)
-            for t, (labels, _) in enumerate(_distinct_relabelings(fam.pres, 8)):
+            for t, (labels, _) in enumerate(labelled(fam.pres, 8)):
                 if t % 48 and (fam.name, labels) not in hits:
                     continue
                 zero = fam.poly(a, dict(zip(support, labels))) == 0
@@ -648,13 +683,17 @@ def test_wheel_equation_is_exact(case):
         if len(c.support) > a.n:
             continue
         r = expected_rank(c) - 1
-        keep = _equation_filter(_wheel_family(format_family(c), c, lab), d, a.p)
+        keep = _equation_filter(_wheel_family(format_family(c), c, lab), a.p)
+        local, perms = _support_images(c.canonical())
         stride = 7 if len(c.support) == 8 else 1
-        for t, (labels, image) in enumerate(_distinct_relabelings(c, a.n)):
-            if t % stride:
+        for u, (emb, t) in enumerate(_distinct_relabelings(c, a.n)):
+            if u % stride:
                 continue
             walked += 1
-            got, passed = rank(image), keep(labels, image)
+            labels = tuple(emb[j] for j in perms[t])
+            image = [frozenset(labels[j] for j in s) for s in local]
+            block = [d[i][j] for i in emb for j in emb]
+            got, passed = rank(image), keep(block, emb, t)
             if passed or walked % 50 == 0:
                 assert got == intersection_rank(a, image)
             drops += got <= r
