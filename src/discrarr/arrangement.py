@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import (FpElement, Matrix, _scalar, det, dot, eliminate,
-                     integer_form, kernel_basis, maximal_minors, parse_scalar,
-                     rref, scalar_str)
+from .linalg import (FpElement, _scalar, det, dot, eliminate, integer_form,
+                     integer_kernel, maximal_minors, parse_scalar, scalar_str)
 
 log = logging.getLogger(__name__)
 
@@ -82,12 +81,6 @@ class Arrangement:
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} out of range 1..{self.n}")
         return i - 1
-
-    def column_stack(self, indices=None) -> Matrix:
-        """k x |indices| matrix whose columns are the chosen normals."""
-        if indices is None:
-            indices = range(1, self.n + 1)
-        return Matrix.from_cols([self.normal(i) for i in sorted(indices)])
 
     @property
     def essential(self) -> bool:
@@ -184,8 +177,11 @@ def delete(a: Arrangement, i: int) -> Arrangement:
 def restrict(a: Arrangement, i: int) -> Arrangement:
     """Restrict to the i-th hyperplane.
 
-    Picks the reduced echelon basis of ker(a_i) and expresses every other
-    normal inside that basis, giving a rank-(k-1) multiarrangement.  The
+    Picks the kernel basis of a_i with one free entry 1, from integer_kernel
+    on its integer row (scaling a_i keeps its kernel), and expresses every
+    other normal inside that basis, giving a rank-(k-1) multiarrangement.
+    Each entry is a dot product of integer rows over the row's scale times
+    the basis denominator, a Fraction over Q or an FpElement over F_p.  The
     result is well defined up to linear equivalence; the deterministic
     basis choice keeps runs reproducible.
     """
@@ -195,9 +191,9 @@ def restrict(a: Arrangement, i: int) -> Arrangement:
         if j != i and parallel(a, i, j):
             raise ValueError(
                 f"hyperplane {j} coincides with {i}; restriction would drop it")
-    basis = kernel_basis(Matrix.from_rows([a.normal(i)]))
-    new = tuple(tuple(dot(a.normal(j), b) for b in basis)
-                for j in range(1, a.n + 1) if j != i)
+    basis, den = integer_kernel([a.rows[a._index(i)]], a.k, a.p)
+    new = tuple(tuple(_scalar(dot(row, b), scale * den, a.p) for b in basis)
+                for j, (row, scale) in enumerate(zip(a.rows, a.scales), 1) if j != i)
     return Arrangement(a.k - 1, new)
 
 
@@ -206,29 +202,23 @@ def normal_form(a: Arrangement) -> Arrangement:
 
     For a generic essential arrangement: identity block in columns 1..k,
     all-ones column k+1, and ones across the last row from column k+1 on.
-    Idempotent.
+    Idempotent.  Computed by eliminate(..., full=True) on the k x n matrix
+    whose columns are the integer rows; scaling a normal does not change
+    the normal form, and genericity puts the pivots in columns 1..k.  With
+    R the reduced matrix, entry r of column c > k is
+    R[r][c] R[k][k+1] / (R[r][k+1] R[k][c]) (1-based), a Fraction over Q
+    or an FpElement over F_p.
     """
     if not a.essential or not is_generic(a):
         raise ValueError("normal form requires a generic essential arrangement")
-    k, n = a.k, a.n
-    aug = Matrix.from_rows(
-        [[a.normals[c][r] for c in range(k)] + [a.normals[c][r] for c in range(n)]
-         for r in range(k)])
-    red, pivots = rref(aug)
+    k, n, p = a.k, a.n, a.p
+    red, pivots, _ = eliminate([list(col) for col in zip(*a.rows)], p, full=True)
     assert pivots == list(range(k))
-    cols = [[red[r][k + c] for r in range(k)] for c in range(n)]
-    if n > k:
-        beta = [cols[k][r] for r in range(k)]
-        assert all(beta), "genericity guarantees nonzero entries here"
-        for c in range(n):
-            cols[c] = [x / beta[r] for r, x in enumerate(cols[c])]
-        for c in range(k):
-            cols[c] = [x * beta[c] for x in cols[c]]
-        for c in range(k + 1, n):
-            last = cols[c][k - 1]
-            assert last, "genericity guarantees a nonzero last entry"
-            cols[c] = [x / last for x in cols[c]]
-    return Arrangement(k, tuple(tuple(c) for c in cols))
+    last = red[k - 1]
+    cols = [tuple(_scalar(int(r == c), 1, p) for r in range(k)) for c in range(k)]
+    cols += [tuple(_scalar(red[r][c] * last[k], red[r][k] * last[c], p) for r in range(k))
+             for c in range(k, n)]
+    return Arrangement(k, tuple(cols))
 
 
 def random_generic(n: int, k: int, seed: int, height: int = 9,
@@ -237,8 +227,10 @@ def random_generic(n: int, k: int, seed: int, height: int = 9,
 
     Deterministic for a fixed seed.  Each draw is n integer rows, accepted
     when every maximal minor is nonzero (with n >= k a zero normal makes
-    one vanish); the Arrangement is built once, for the accepted draw.
-    Raises RetryBudgetExceeded when the budget runs out (height too small).
+    one vanish); the Arrangement is built once, from the accepted rows
+    themselves, so its normals are those ints, its rows equal them and
+    every scale is 1.  Raises RetryBudgetExceeded when the budget runs out
+    (height too small).
     """
     if k < 1 or n < k:
         raise ValueError(f"need n >= k >= 1 for an essential sample, got ({n}, {k})")
@@ -250,7 +242,7 @@ def random_generic(n: int, k: int, seed: int, height: int = 9,
         if all(maximal_minors(rows).values()):
             log.debug("random_generic(n=%d, k=%d, seed=%d): %d resamples",
                       n, k, seed, attempt)
-            return Arrangement(k, tuple(tuple(map(Fraction, v)) for v in rows))
+            return Arrangement(k, rows)
     raise RetryBudgetExceeded(
         f"no generic sample in {budget} draws (n={n}, k={k}, height={height})")
 
@@ -281,8 +273,8 @@ def scaled(a: Arrangement, i: int, c) -> Arrangement:
     return Arrangement(a.k, tuple(new))
 
 
-def transformed(a: Arrangement, m: Matrix) -> Arrangement:
-    """Apply an invertible k x k matrix to every normal."""
+def transformed(a: Arrangement, m) -> Arrangement:
+    """Apply an invertible k x k matrix m, a linalg.Matrix, to every normal."""
     if m.nrows != a.k or m.ncols != a.k or not det(m):
         raise ValueError("need an invertible k x k matrix")
     new = tuple(tuple(dot(m.row(r), v) for r in range(a.k)) for v in a.normals)

@@ -11,11 +11,14 @@ free Bareiss elimination over Z, or reduction modulo a prime.
 :func:`integer_form` is the one place where rows of scalars become such
 rows (denominators cleared per row over Q, residues over F_p): a
 :class:`Matrix` passes ``m.rows()``, and an ``Arrangement`` its normals,
-once, in its constructor; every rank test on it reads the result.  A
+once, in its constructor; every rank test, restriction and normal form on
+it reads the result, and the samplers hand it the int rows they draw.  A
 translation t enters as the cone's last column, normals (a_i | t_i).
 :func:`integer_kernel` is the one kernel routine; :func:`kernel_basis` is
-its Fraction/FpElement view.  Results become field elements only at the
-end, so no elimination step does Fraction or FpElement arithmetic.
+its Fraction/FpElement view for a :class:`Matrix`, which the arrangement
+layer does not build.  Results become field elements only at the end,
+through :func:`_scalar`, so no elimination step does Fraction or FpElement
+arithmetic.
 
 :func:`maximal_minors` is the table for rank-2 work: the C(n, k) maximal
 minors (Plücker coordinates) of n integer normals of length k, built once
@@ -425,13 +428,3 @@ def dot(u, v):
 
 def matrix_to_field(m: Matrix, field: PrimeField) -> Matrix:
     return Matrix(m.nrows, m.ncols, tuple(field(x) for x in m.entries))
-
-
-def random_invertible(k: int, rng, height: int = 5) -> Matrix:
-    """Seeded random invertible k x k rational matrix (test helper)."""
-    while True:
-        m = Matrix(k, k, tuple(Fraction(rng.randint(-height, height))
-                               for _ in range(k * k)))
-        if det(m):
-            return m
-

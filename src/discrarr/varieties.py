@@ -5,10 +5,11 @@ An arrangement belongs to the variety of a family (T, r) when the joint
 dependency span of T has rank at most r.  For wheel- and ladder-shaped
 families of triples in the plane, membership is cut out by a single
 difference of two products of 2x2 determinants.  The public polynomials
-keep Fraction values; the eight-line scan evaluates the same products in
-ints, on the table of 2x2 minors of the integer normals, and the sampler on
-cross products of the integer rows it draws, solving them for one normal to
-manufacture on-variety witnesses.
+keep the scalars of the normals: an int on a sampled arrangement, whose
+normals are ints, and a Fraction on one read from JSON.  The eight-line
+scan evaluates the same products in ints, on the table of 2x2 minors of the
+integer normals, and the sampler on cross products of the integer rows it
+draws, solving them for one normal to manufacture on-variety witnesses.
 
 Both scans run on one engine, _scan: relabel, drop what a one-sided
 prefilter rules out, and confirm the rest by exact rank.  Images are
@@ -30,7 +31,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .arrangement import Arrangement, RetryBudgetExceeded, pair_det, parallel
@@ -364,12 +364,16 @@ def solve_on_variety(family, seed: int, height: int = 9,
     the solved normal in place is nonzero: a zero or parallel drawn normal,
     or a zero solved one, makes a minor vanish.  The Arrangement is built
     once, for the accepted draw, after rechecking that the equation
-    vanishes exactly.
+    vanishes exactly.  Its normals are the accepted int rows themselves, so
+    its rows equal them and every scale is 1.  Raises ValueError when
+    height < 1, and RetryBudgetExceeded when the budget runs out.
     """
     if isinstance(family, str):
         family = family_by_name(family)
     elif isinstance(family, WheelLabeling):
         family = merged_wheel_family(family)
+    if height < 1:
+        raise ValueError("height must be at least 1")
     m = family.solve_index()
     n = family.ground
     rng = random.Random(seed)
@@ -389,7 +393,7 @@ def solve_on_variety(family, seed: int, height: int = 9,
         if all(maximal_minors(rows).values()):
             assert _products(cross, family.left, family.right) == 0, \
                 "solved normal must lie on the variety"
-            return Arrangement(2, tuple(tuple(map(Fraction, v)) for v in rows))
+            return Arrangement(2, rows)
     raise RetryBudgetExceeded(
         f"no on-variety sample for {family.name} in {budget} draws (seed={seed})")
 

@@ -10,7 +10,7 @@ from discrarr.arrangement import (Arrangement, RetryBudgetExceeded,
 from discrarr.discriminantal import (DependencySpace, RepresentativeResult,
                                      _members_of)
 from discrarr.linalg import (FpElement, Matrix, det, dot, kernel_basis, rank,
-                             solve)
+                             rref, solve)
 from discrarr.presentations import presentation
 
 
@@ -49,6 +49,21 @@ TEN_LINE_FAMILY = [{1, 2, 3, 4}, {1, 5, 6, 7}, {2, 5, 8, 9}, {3, 6, 8, 10},
 @pytest.fixture
 def nine_line():
     return from_int_columns(2, [(i - 5, 1) for i in range(1, 10)])
+
+
+def column_stack(a: Arrangement, indices=None) -> Matrix:
+    """k x |indices| matrix whose columns are the chosen normals."""
+    if indices is None:
+        indices = range(1, a.n + 1)
+    return Matrix.from_cols([a.normal(i) for i in sorted(indices)])
+
+
+def random_invertible(k: int, rng, height: int = 5) -> Matrix:
+    """Seeded random invertible k x k rational matrix."""
+    while True:
+        m = Matrix(k, k, tuple(F(rng.randint(-height, height)) for _ in range(k * k)))
+        if det(m):
+            return m
 
 
 # independent oracles: cofactor determinants, minor ranks, brute circuits
@@ -160,12 +175,12 @@ def circuits_oracle(a: Arrangement):
 
 def is_generic_matrix_oracle(a: Arrangement) -> bool:
     size = min(a.k, a.n)
-    return all(rank(a.column_stack(comb)) == size
+    return all(rank(column_stack(a, comb)) == size
                for comb in itertools.combinations(range(1, a.n + 1), size))
 
 
 def parallel_matrix_oracle(a: Arrangement, i: int, j: int) -> bool:
-    return rank(a.column_stack([i, j])) <= 1
+    return rank(column_stack(a, [i, j])) <= 1
 
 
 def circuits_matrix_oracle(a: Arrangement) -> frozenset:
@@ -173,9 +188,50 @@ def circuits_matrix_oracle(a: Arrangement) -> frozenset:
     for size in range(2, min(a.k + 1, a.n) + 1):
         for comb in itertools.combinations(range(1, a.n + 1), size):
             s = frozenset(comb)
-            if not any(c <= s for c in found) and rank(a.column_stack(comb)) < size:
+            if not any(c <= s for c in found) and rank(column_stack(a, comb)) < size:
                 found.append(s)
     return frozenset(found)
+
+
+# restrict and normal_form as they were before they eliminated on the
+# integer rows: a Fraction Matrix through kernel_basis and rref, the latter
+# on the k x (k + n) matrix of the first k normals followed by all of them
+
+def restrict_oracle(a: Arrangement, i: int) -> Arrangement:
+    if a.k < 2:
+        raise ValueError("cannot restrict a rank-1 arrangement")
+    for j in range(1, a.n + 1):
+        if j != i and parallel_matrix_oracle(a, i, j):
+            raise ValueError(
+                f"hyperplane {j} coincides with {i}; restriction would drop it")
+    basis = kernel_basis(Matrix.from_rows([a.normal(i)]))
+    new = tuple(tuple(dot(a.normal(j), b) for b in basis)
+                for j in range(1, a.n + 1) if j != i)
+    return Arrangement(a.k - 1, new)
+
+
+def normal_form_oracle(a: Arrangement) -> Arrangement:
+    if rank(column_stack(a)) != a.k or not is_generic_matrix_oracle(a):
+        raise ValueError("normal form requires a generic essential arrangement")
+    k, n = a.k, a.n
+    aug = Matrix.from_rows(
+        [[a.normals[c][r] for c in range(k)] + [a.normals[c][r] for c in range(n)]
+         for r in range(k)])
+    red, pivots = rref(aug)
+    assert pivots == list(range(k))
+    cols = [[red[r][k + c] for r in range(k)] for c in range(n)]
+    if n > k:
+        beta = [cols[k][r] for r in range(k)]
+        assert all(beta), "genericity guarantees nonzero entries here"
+        for c in range(n):
+            cols[c] = [x / beta[r] for r, x in enumerate(cols[c])]
+        for c in range(k):
+            cols[c] = [x * beta[c] for x in cols[c]]
+        for c in range(k + 1, n):
+            last = cols[c][k - 1]
+            assert last, "genericity guarantees a nonzero last entry"
+            cols[c] = [x / last for x in cols[c]]
+    return Arrangement(k, tuple(tuple(c) for c in cols))
 
 
 def intersection_rank_matrix_oracle(a: Arrangement, family) -> int:
@@ -190,7 +246,7 @@ def intersection_rank_matrix_oracle(a: Arrangement, family) -> int:
 # elements here, as they are in the library.
 
 def maximal_minor_oracle(a: Arrangement, s):
-    return det(a.column_stack(sorted(set(s))))
+    return det(column_stack(a, sorted(set(s))))
 
 
 def has_common_point_oracle(a: Arrangement, t, s) -> bool:
@@ -204,7 +260,7 @@ def has_common_point_oracle(a: Arrangement, t, s) -> bool:
 def dependency_space_oracle(a: Arrangement, s) -> DependencySpace:
     s = tuple(sorted(set(s)))
     vecs = []
-    for v in kernel_basis(a.column_stack(s)):
+    for v in kernel_basis(column_stack(a, s)):
         full = [0 * v[0]] * a.n
         for pos, i in enumerate(s):
             full[i - 1] = v[pos]
@@ -231,7 +287,7 @@ def canonical_presentation_oracle(a: Arrangement, t):
     maximal = [s for s in families
                if not any(s < other for other in families)]
     components = [s for s in maximal
-                  if rank(a.column_stack(s)) < len(s)]
+                  if rank(column_stack(a, s)) < len(s)]
     return presentation(n, k, components)
 
 

@@ -16,7 +16,6 @@ from discrarr.arrangement import (Arrangement, circuits, delete,
                                   permuted, random_generic, scaled,
                                   transformed)
 from discrarr.discriminantal import intersection_rank
-from discrarr.linalg import random_invertible
 from discrarr.presentations import (expected_rank, format_family,
                                     is_admissible, leq, orbit_canonical,
                                     presentation, twin_wheel, wheel)
@@ -25,7 +24,7 @@ from discrarr.varieties import (WheelLabeling, audit_arrangement,
                                 family_by_name, membership, solve_on_variety,
                                 wheel_poly)
 from .conftest import (TEN_LINE_FAMILY, crapo_arrangement, equation_with,
-                       random_admissible_family)
+                       random_admissible_family, random_invertible)
 
 W6_FAMILY = [{1, 2, 3}, {1, 5, 6}, {2, 4, 6}, {3, 4, 5}]
 

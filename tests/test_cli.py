@@ -144,6 +144,16 @@ def test_sample_unknown_family_exit_code(capsys, name):
     assert "unknown family" in err and "JSON:" not in out
 
 
+@pytest.mark.parametrize("argv", (("--family", "W6", "--height", "-3"),
+                                  ("--family", "W6", "--height", "0"),
+                                  ("--n", "6", "--height", "0")))
+def test_sample_rejects_height_below_one(capsys, argv):
+    # the on-variety sampler refuses a height below 1 as the generic one does
+    code, out, err = run(capsys, "sample", *argv)
+    assert code == 2
+    assert "height must be at least 1" in err and "JSON:" not in out
+
+
 def test_sample_on_variety(capsys, tmp_path):
     path = tmp_path / "w6.json"
     code, out, _ = run(capsys, "sample", "--family", "W6", "--seed", "7",

@@ -10,9 +10,10 @@ from discrarr.arrangement import (Arrangement, circuits, delete,
 from discrarr.discriminantal import (canonical_presentation, circuit_normal,
                                      dependency_space, find_representative,
                                      has_common_point, intersection_rank)
-from discrarr.linalg import Matrix, random_invertible, rank
+from discrarr.linalg import Matrix, rank
 from discrarr.presentations import expected_rank, leq, presentation
-from .conftest import TEN_LINE_FAMILY, random_admissible_family
+from .conftest import (TEN_LINE_FAMILY, random_admissible_family,
+                       random_invertible)
 
 W6_FAMILY = [{1, 2, 3}, {1, 5, 6}, {2, 4, 6}, {3, 4, 5}]
 T_WITNESS = (F(0), F(1), F(1), F(1), F(0), F(0))

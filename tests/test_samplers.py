@@ -5,7 +5,8 @@ and build one Arrangement, for the draw they return.  The oracles in
 conftest keep the earlier loops, which wrapped each draw in Fractions and
 rejected it in up to four separate tests.  Both must return the same
 arrangement, or fail with the same text, and every rejecting branch of the
-oracles must fire somewhere in the grid.
+oracles must fire somewhere in the grid.  The samplers' normals are the int
+rows they drew, which the constructor keeps as its rows, with scale 1.
 """
 
 import collections
@@ -26,9 +27,24 @@ SHARED_PARTNER = VarietyFamily("X6", wheel(6), ((1, 6), (2, 3), (4, 5)),
 
 def outcome(draw):
     try:
-        return json.dumps(draw().to_json_dict())
+        return draw()
     except RetryBudgetExceeded as e:
         return f"RetryBudgetExceeded: {e}"
+
+
+def assert_same(got, want, where) -> bool:
+    """The sampler's arrangement equals the oracle's, whose normals are
+    Fractions, normal by normal and in JSON; its normals are the int rows
+    it drew, which are its rows, each of scale 1.  Or both fail with the
+    same text; True then."""
+    if isinstance(want, str):
+        assert got == want, where
+        return True
+    assert got == want and got.normals == want.normals, where
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict()), where
+    assert all(type(x) is int for v in got.normals for x in v), where
+    assert got.rows == got.normals and got.scales == (1,) * got.n, where
+    return False
 
 
 def test_random_generic_matches_the_fraction_loop():
@@ -42,8 +58,7 @@ def test_random_generic_matches_the_fraction_loop():
                         n, k, seed, height, 16, fired))
                     got = outcome(lambda: random_generic(
                         n, k, seed, height=height, budget=16))
-                    assert got == want, (n, k, height, seed)
-                    failed += got.startswith("RetryBudgetExceeded")
+                    failed += assert_same(got, want, (n, k, height, seed))
     assert set(fired) == {"zero normal", "not generic"}
     assert failed
 
@@ -62,8 +77,7 @@ def test_solve_on_variety_matches_the_fraction_loop():
                         fam, seed, height, budget, fired))
                     got = outcome(lambda: solve_on_variety(
                         fam, seed, height=height, budget=budget))
-                    assert got == want, (fam.name, height, seed, budget)
-                    failed += got.startswith("RetryBudgetExceeded")
+                    failed += assert_same(got, want, (fam.name, height, seed, budget))
     assert set(fired) == {"zero normal", "parallel drawn pair",
                           "zero solved normal", "not generic"}
     assert failed
