@@ -15,14 +15,16 @@ Both scans run on one engine, _scan: relabel, drop what a one-sided
 prefilter rules out, and confirm the rest by exact rank.  Images are
 streamed, never stored: for each family, one table cached per family holds
 the first permutation of its support giving each distinct image, and the
-scan walks every order-preserving embedding of the support into [n] with
-every such permutation, building one block of 2x2 minors per embedding.
-The prefilter of the eight-line scan, and of every wheel-shaped class of
-the audit, is the family's product equation, evaluated in ints on that
-block through factor positions precomputed per permutation, over Q and
-over F_p; the audit's other classes use the rank modulo DEFAULT_SCREEN_PRIME
-over Q, and the rank over F_p itself over F_p.  Labels and member sets are
-built only for the images a prefilter passes.
+scan walks every order-preserving embedding of the support into [n],
+building one block of 2x2 minors per embedding and testing every image of
+that embedding at once.  The prefilter of the eight-line scan, and of every
+wheel-shaped class of the audit, is the family's product equation, in ints
+on that block, over Q and over F_p: a second table per family lists the
+distinct monomials of the equation over all images, so each is evaluated
+once per embedding and every image's difference is picked from them in C.
+The audit's other classes use the rank modulo DEFAULT_SCREEN_PRIME over Q,
+and the rank over F_p itself over F_p, image by image.  Labels and member
+sets are built only for the images a prefilter passes.
 """
 
 import collections
@@ -31,7 +33,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul, neg, sub
 
 from .arrangement import Arrangement, RetryBudgetExceeded, pair_det, parallel
 from .discriminantal import dependency_rows, intersection_rank
@@ -446,77 +448,119 @@ def _support_images(canonical: tuple) -> tuple:
 
 
 def _distinct_relabelings(p: Presentation, n: int):
-    """One (emb, t) per distinct image of p in [n], embedding-major.
+    """One (emb, ts) per order-preserving embedding emb of p's support
+    into [n], with ts = range(len(perms)): the images (emb, t), t in ts,
+    are the distinct images of p in [n] carried by emb.
 
     An image uses exactly as many indices as p's support, m, so it is an
-    image on [m] carried into [n] by one of the C(n, m) order-preserving
-    embeddings emb.  With (local, perms) = _support_images(p.canonical()),
-    t indexes the permutation perms[t] giving it, and its labels are
+    image on [m] carried into [n] by one of the C(n, m) embeddings.  With
+    (local, perms) = _support_images(p.canonical()), t indexes the
+    permutation perms[t] giving it, and its labels are
     labels[j] = emb[perms[t][j]]: where the j-th smallest index of p's
     support goes, the lexicographically first labelling of the image.
     Image i of p's canonical members is {labels[j] for j in local[i]}.
     Nothing is built per image.
     """
     perms = _support_images(p.canonical())[1]
-    return itertools.product(itertools.combinations(range(1, n + 1), len(perms[0])),
-                             range(len(perms)))
+    ts = range(len(perms))
+    return ((emb, ts) for emb in itertools.combinations(range(1, n + 1), len(perms[0])))
 
 
 def _scan(a: Arrangement, jobs):
-    """Relabel, prefilter, confirm: for each job (name, family, r, keep),
-    walk the distinct images (emb, t) of the family in [a.n] from
+    """Relabel, prefilter, confirm: for each job (name, family, r, passed),
+    walk the embeddings of the family's support into [a.n] from
     _distinct_relabelings.  Each embedding gets one block of 2x2 minors,
-    block[u * m + v] = D(emb[u], emb[v]); keep(block, emb, t), a one-sided
-    test, drops an image, and only an image it passes gets its labels and
-    member sets, and is ranked exactly; a rank at most r is a hit.  Returns
-    the hits sorted by (family, labels), which hides the walk order, and
-    the number of images walked."""
+    block[u * m + v] = D(emb[u], emb[v]), and passed(block, emb), a
+    one-sided test of all the embedding's images at once, yields the t it
+    does not rule out.  Only those images get their labels and member sets,
+    and are ranked exactly; a rank at most r is a hit.  Returns the hits
+    sorted by (family, labels), which hides the walk order, and the number
+    of images walked."""
     d = _pair_minors(a._minors, a.n)
     hits = []
     count = 0
-    for name, family, r, keep in jobs:
+    for name, family, r, passed in jobs:
         local, perms = _support_images(family.canonical())
-        last = None
-        for emb, t in _distinct_relabelings(family, a.n):
-            count += 1
-            if emb is not last:
-                last = emb
-                block = [d[i][j] for i in emb for j in emb]
-            if not keep(block, emb, t):
-                continue
-            labels = tuple(emb[j] for j in perms[t])
-            rank = intersection_rank(a, [frozenset(labels[j] for j in s) for s in local])
-            if rank <= r:
-                hits.append(ReportHit(name, labels, r, rank))
+        for emb, ts in _distinct_relabelings(family, a.n):
+            count += len(ts)
+            block = [d[i][j] for i in emb for j in emb]
+            for t in passed(block, emb):
+                labels = tuple(emb[j] for j in perms[t])
+                rank = intersection_rank(a, [frozenset(labels[j] for j in s) for s in local])
+                if rank <= r:
+                    hits.append(ReportHit(name, labels, r, rank))
     hits.sort(key=lambda h: (h.family, h.labels))
     return tuple(hits), count
 
 
 @functools.cache
-def _factor_getters(fam: VarietyFamily) -> tuple:
-    """For each permutation perms[t] of the family's _support_images, two
-    itemgetters that pick the left and the right factors of its equation
-    from a block of minors.  Like the images table, it is kept per family:
-    for the eight-line families, building it costs as much as a scan."""
+def _equation_table(fam: VarietyFamily) -> tuple:
+    """(factors, left, right): the family's product equation over every
+    image of its _support_images, on the block of minors of an embedding.
+
+    Under perms[t], each side of the equation is a product of block
+    entries: the factor D(i, j) is block[u * m + v] with u, v the
+    positions perms[t] sends i and j to, and, as D(v, u) = -D(u, v), it is
+    minus block[v * m + u] when u > v.  So each side is a sign times a
+    monomial, kept as the sorted positions u * m + v with u < v.  The table
+    numbers the K distinct monomials of all images; factors holds one
+    itemgetter per factor position, picking that factor of every monomial,
+    so multiplying their picks gives the K values.  left picks each image's
+    left monomial from the values, and right its right monomial from the
+    values followed by their negations, at K + k when the two sides' signs
+    differ: left minus right is then the image's equation up to its sign.
+    Like the images table it is kept per family: building the five
+    eight-line families' tables costs many warm eight-line scans."""
     support = sorted(fam.pres.support)
     m = len(support)
     pos = {i: j for j, i in enumerate(support)}
-    left, right = ([(pos[i], pos[j]) for i, j in side] for side in (fam.left, fam.right))
-    return tuple((itemgetter(*[perm[i] * m + perm[j] for i, j in left]),
-                  itemgetter(*[perm[i] * m + perm[j] for i, j in right]))
-                 for perm in _support_images(fam.pres.canonical())[1])
+    sides = [[(pos[i], pos[j]) for i, j in side] for side in (fam.left, fam.right)]
+    number = {}  # monomial -> its index among the distinct ones
+
+    def monomial(perm, side):
+        sign, positions = 1, []
+        for i, j in side:
+            u, v = perm[i], perm[j]
+            if u > v:
+                u, v, sign = v, u, -sign
+            positions.append(u * m + v)
+        return number.setdefault(tuple(sorted(positions)), len(number)), sign
+
+    left, right = [], []
+    for perm in _support_images(fam.pres.canonical())[1]:
+        (k, s), (l, r) = (monomial(perm, side) for side in sides)
+        left.append(k)
+        right.append((l, s != r))
+    size = len(number)
+    factors = tuple(itemgetter(*column) for column in zip(*number))
+    return (factors, itemgetter(*left),
+            itemgetter(*[l + size * flip for l, flip in right]))
 
 
 def _equation_filter(fam: VarietyFamily, p):
-    """Pass the zeros of the family equation, in ints on a block of minors,
-    or mod p over F_p, through the family's _factor_getters."""
-    getters = _factor_getters(fam)
+    """passed(block, emb): the t of every image of the embedding at which
+    the family equation vanishes, in ints on the block, or mod p over F_p,
+    in increasing order.  The equation's distinct monomials are evaluated
+    once per embedding through the family's _equation_table, and each
+    image's difference is picked from them."""
+    (first, *rest), left, right = _equation_table(fam)
 
-    def keep(block, emb, t):
-        left, right = getters[t]
-        value = math.prod(left(block)) - math.prod(right(block))
-        return (value if p is None else value % p) == 0
-    return keep
+    def passed(block, emb):
+        vals = first(block)
+        for factor in rest:
+            vals = map(mul, vals, factor(block))
+        vals = list(vals)
+        diff = list(map(sub, left(vals), right(vals + list(map(neg, vals)))))
+        if p is not None:
+            diff = list(map(p.__rmod__, diff))
+        t = -1
+        try:
+            while True:
+                t = diff.index(0, t + 1)
+                yield t
+        except ValueError:
+            return
+    return passed
 
 
 def eight_line_report(a: Arrangement) -> EightLineReport:
@@ -686,18 +730,21 @@ def _rank_mod_p(rows, p: int, r: int | None = None) -> int:
 
 
 def _screen_filter(screen: dict, q: int, pres: Presentation, r: int):
-    """Pass an image of pres unless its rank mod the prime q, which is at
-    most its rank over the arrangement's field, exceeds r; screen is
+    """passed(block, emb): the t of every image of pres on the embedding
+    whose rank mod the prime q, which is at most its rank over the
+    arrangement's field, does not exceed r; screen is
     _screen_rows(a, sizes, q).  The member sets come from the labels of
     (emb, t), through one itemgetter per member built here."""
     local, perms = _support_images(pres.canonical())
     members = [itemgetter(*s) for s in local]
 
-    def keep(block, emb, t):
-        labels = [emb[j] for j in perms[t]]
-        rows = [row for g in members for row in screen[frozenset(g(labels))]]
-        return _rank_mod_p(rows, q, r) <= r
-    return keep
+    def passed(block, emb):
+        for t, perm in enumerate(perms):
+            labels = [emb[j] for j in perm]
+            rows = [row for g in members for row in screen[frozenset(g(labels))]]
+            if _rank_mod_p(rows, q, r) <= r:
+                yield t
+    return passed
 
 
 def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
@@ -732,9 +779,9 @@ def audit_arrangement(a: Arrangement, nprime_max: int) -> AuditReport:
     jobs = []
     for pres, lab in zip(candidates, labs):
         name, r = format_family(pres), expected_rank(pres) - 1
-        keep = _screen_filter(screen, q, pres, r) if lab is None else \
+        passed = _screen_filter(screen, q, pres, r) if lab is None else \
             _equation_filter(_wheel_family(name, pres, lab), a.p)
-        jobs.append((name, pres, r, keep))
+        jobs.append((name, pres, r, passed))
     hits, _ = _scan(a, jobs)
     return AuditReport(field_name(a), nprime_max, hits,
                        "no hit rules out rank defects only within the searched bound")

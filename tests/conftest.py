@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 
@@ -12,6 +13,7 @@ from discrarr.discriminantal import (DependencySpace, RepresentativeResult,
 from discrarr.linalg import (FpElement, Matrix, det, dot, kernel_basis, rank,
                              rref, solve)
 from discrarr.presentations import presentation
+from discrarr.varieties import _support_images
 
 
 def crapo_arrangement(lam) -> Arrangement:
@@ -330,6 +332,28 @@ def equation_with(fam, normals: dict, m: int, vm):
 
     return (math.prod(cross(i, j) for i, j in fam.left)
             - math.prod(cross(i, j) for i, j in fam.right))
+
+
+# the scans' product-equation test as it was before it tested every image
+# of an embedding at once: per image t, two itemgetters built for perms[t]
+# pick the factors of its left and right products from the block of minors
+
+def equation_keep_oracle(fam, p):
+    """keep(block, emb, t): does fam's equation vanish on image t of the
+    embedding, in ints on the block, or mod p over F_p?"""
+    support = sorted(fam.pres.support)
+    m = len(support)
+    pos = {i: j for j, i in enumerate(support)}
+    left, right = ([(pos[i], pos[j]) for i, j in side] for side in (fam.left, fam.right))
+    getters = [(itemgetter(*[perm[i] * m + perm[j] for i, j in left]),
+                itemgetter(*[perm[i] * m + perm[j] for i, j in right]))
+               for perm in _support_images(fam.pres.canonical())[1]]
+
+    def keep(block, emb, t):
+        lg, rg = getters[t]
+        value = math.prod(lg(block)) - math.prod(rg(block))
+        return (value if p is None else value % p) == 0
+    return keep
 
 
 def random_admissible_family(rng, n, k, max_members=3):

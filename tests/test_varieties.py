@@ -20,7 +20,7 @@ from discrarr.presentations import (expected_rank, format_family,
                                     wheel)
 from discrarr.varieties import (VarietyFamily, WheelLabeling, _candidates,
                                 _distinct_relabelings, _equation_filter,
-                                _factor_getters, _gen_families, _pair_minors,
+                                _equation_table, _gen_families, _pair_minors,
                                 _products, _rank_mod_p, _support_images,
                                 _wheel_family, _size_multisets,
                                 audit_arrangement,
@@ -30,7 +30,8 @@ from discrarr.varieties import (VarietyFamily, WheelLabeling, _candidates,
                                 membership, merged_wheel_family,
                                 solve_on_variety, wheel_labeling_of,
                                 wheel_poly)
-from .conftest import crapo_arrangement, equation_with, rank_oracle
+from .conftest import (crapo_arrangement, equation_keep_oracle, equation_with,
+                       rank_oracle)
 
 W6_LAB = WheelLabeling((1, 3, 5), (2, 4, 6))
 W6_FAMILY = [{1, 2, 3}, {1, 5, 6}, {2, 4, 6}, {3, 4, 5}]
@@ -377,12 +378,24 @@ def test_nine_line_wheel_equations(nine_line):
 
 
 def labelled(p, n):
-    """(labels, image) for each (emb, t) of _distinct_relabelings(p, n):
-    labels[j] = emb[perms[t][j]], image in p's canonical member order."""
+    """(labels, image) for each image (emb, t) of p in [n], t in the range
+    _distinct_relabelings(p, n) gives with emb: labels[j] =
+    emb[perms[t][j]], image in p's canonical member order."""
     local, perms = _support_images(p.canonical())
-    for emb, t in _distinct_relabelings(p, n):
-        labels = tuple(emb[j] for j in perms[t])
-        yield labels, tuple(frozenset(labels[j] for j in s) for s in local)
+    for emb, ts in _distinct_relabelings(p, n):
+        for t in ts:
+            labels = tuple(emb[j] for j in perms[t])
+            yield labels, tuple(frozenset(labels[j] for j in s) for s in local)
+
+
+def filtered(p, d, passed):
+    """(emb, t, zero) for each image (emb, t) of p in walk order, zero
+    telling whether passed(block, emb) yielded t; d is _pair_minors of the
+    arrangement's table of minors."""
+    for emb, ts in _distinct_relabelings(p, len(d) - 1):
+        zeros = set(passed([d[i][j] for i in emb for j in emb], emb))
+        for t in ts:
+            yield emb, t, t in zeros
 
 
 def reference_relabelings(p, n):
@@ -476,7 +489,7 @@ def test_screened_audit_equals_exact_scan(a, nprime_max):
 
 def test_grid_audit_work_counts(nine_line):
     classes = candidate_presentations(9, 2, 7, False)
-    assert sum(1 for c in classes for _ in _distinct_relabelings(c, 9)) == 17640
+    assert sum(len(ts) for c in classes for _, ts in _distinct_relabelings(c, 9)) == 17640
     assert len(audit_arrangement(nine_line, 7).hits) == 139
 
 
@@ -485,7 +498,7 @@ def test_tables_are_kept_per_family():
     # all wheel-shaped, each table holds exactly the families scanned, and
     # neither scan touched the arrangement's table of minors
     _support_images.cache_clear()
-    _factor_getters.cache_clear()
+    _equation_table.cache_clear()
     a, b = random_generic(8, 2, 13), random_generic(9, 2, 5)
     eight_line_report(a)
     audit_arrangement(b, 7)
@@ -497,7 +510,7 @@ def test_tables_are_kept_per_family():
     for key in expected:
         _support_images(key)
     assert _support_images.cache_info().hits == info.hits + len(expected)
-    assert _factor_getters.cache_info().currsize == len(expected)
+    assert _equation_table.cache_info().currsize == len(expected)
     for x in (a, b):
         assert x._minors == maximal_minors(x.rows)
 
@@ -588,7 +601,8 @@ def padded(a, seed, n=8):
 @pytest.mark.parametrize("prime", (None, DEFAULT_SCREEN_PRIME))
 def test_eight_line_zero_test_matches_fraction_poly(prime):
     # the old zero test, fam.poly(a, mapping) == 0 in Fractions, against
-    # the scan's integer test on every 48th labelling and on every hit
+    # the scan's integer test, passed(block, emb), and against the hits, on
+    # every 48th labelling, every image passed and every hit
     samples = [solve_on_variety(name, 5) for name in ("W8", "L8", "DW10")]
     samples += [padded(solve_on_variety("W6", 5), 5), random_generic(8, 2, 5)]
     for a in samples:
@@ -596,13 +610,18 @@ def test_eight_line_zero_test_matches_fraction_poly(prime):
             fp = PrimeField(prime)
             a = Arrangement(2, tuple(tuple(fp(x) for x in v) for v in a.normals))
         hits = {(h.family, h.labels) for h in eight_line_report(a).hits}
+        d = _pair_minors(a._minors, 8)
         for fam in eight_line_families():
             support = sorted(fam.pres.support)
-            for t, (labels, _) in enumerate(labelled(fam.pres, 8)):
-                if t % 48 and (fam.name, labels) not in hits:
+            perms = _support_images(fam.pres.canonical())[1]
+            for u, (emb, t, passed) in enumerate(
+                    filtered(fam.pres, d, _equation_filter(fam, a.p))):
+                labels = tuple(emb[j] for j in perms[t])
+                hit = (fam.name, labels) in hits
+                if u % 48 and not passed and not hit:
                     continue
                 zero = fam.poly(a, dict(zip(support, labels))) == 0
-                assert zero == ((fam.name, labels) in hits), (fam.name, labels)
+                assert zero == passed == hit, (fam.name, labels)
 
 
 @pytest.mark.parametrize("a", [padded(solve_on_variety("W6", 5), 5),
@@ -683,19 +702,57 @@ def test_wheel_equation_is_exact(case):
         if len(c.support) > a.n:
             continue
         r = expected_rank(c) - 1
-        keep = _equation_filter(_wheel_family(format_family(c), c, lab), a.p)
+        passed = _equation_filter(_wheel_family(format_family(c), c, lab), a.p)
         local, perms = _support_images(c.canonical())
         stride = 7 if len(c.support) == 8 else 1
-        for u, (emb, t) in enumerate(_distinct_relabelings(c, a.n)):
+        for u, (emb, t, zero) in enumerate(filtered(c, d, passed)):
             if u % stride:
                 continue
             walked += 1
             labels = tuple(emb[j] for j in perms[t])
             image = [frozenset(labels[j] for j in s) for s in local]
-            block = [d[i][j] for i in emb for j in emb]
-            got, passed = rank(image), keep(block, emb, t)
-            if passed or walked % 50 == 0:
+            got = rank(image)
+            if zero or walked % 50 == 0:
                 assert got == intersection_rank(a, image)
             drops += got <= r
-            assert passed == (got <= r), (format_family(c), labels)
+            assert zero == (got <= r), (format_family(c), labels)
     assert walked and (drops or case == "random-h3")
+
+
+def eight_line_planted(name):
+    """An eight-line sample on the variety of the named eight-line family."""
+    return padded(solve_on_variety(name, 3), 3)
+
+
+ORACLE_INPUTS = {**{case: WHEEL_INPUTS[case] for case in
+                    ("grid", "random-h3", "planted-0", "planted-3", "F7", "F11")},
+                 **{f"planted-{name}": functools.partial(eight_line_planted, name)
+                    for name in ("W6", "Wd8_4", "W8", "L8", "DW10")},
+                 "random-8": lambda: random_generic(8, 2, 6),
+                 "F1299709": lambda: over_prime(planted_nine(1), 1299709),
+                 "F1299709-8": lambda: over_prime(eight_line_planted("DW10"), 1299709)}
+
+
+@pytest.mark.parametrize("case", ORACLE_INPUTS)
+def test_batched_equation_filter_matches_per_image_oracle(case):
+    # passed(block, emb) yields, in order, exactly the t at which the
+    # per-image evaluator of tests/conftest.py finds the equation zero:
+    # every wheel class at n' <= 8 on every embedding, and the five
+    # eight-line families on eight-line inputs
+    a = ORACLE_INPUTS[case]()
+    assert is_generic(a)
+    d = _pair_minors(a._minors, a.n)
+    fams = [_wheel_family(format_family(c), c, lab) for c, lab in wheel_classes()]
+    if a.n == 8:
+        fams += eight_line_families()
+    zeros = 0
+    for fam in fams:
+        if len(fam.pres.support) > a.n:
+            continue
+        passed, keep = _equation_filter(fam, a.p), equation_keep_oracle(fam, a.p)
+        for emb, ts in _distinct_relabelings(fam.pres, a.n):
+            block = [d[i][j] for i in emb for j in emb]
+            got = list(passed(block, emb))
+            assert got == [t for t in ts if keep(block, emb, t)], (fam.name, emb)
+            zeros += len(got)
+    assert zeros or case.startswith("random")
